@@ -2,9 +2,10 @@
 
    Unlike bench/main.exe (which reports *simulated*-clock throughput),
    this tool measures how fast the simulator itself runs on the host:
-   stores/s and loads/s against a raw region, put/get Mops through the
-   full YCSB-A stack, and the allocation rate of each loop (via
-   Gc.allocated_bytes). It exists so that wall-clock regressions of the
+   stores/s and loads/s against a raw region (Counting mode, plus one
+   Precise-mode row that records every store for crash injection),
+   put/get Mops through the full YCSB-A stack, and the allocation rate
+   of each loop (via Gc.allocated_bytes). It exists so that wall-clock regressions of the
    simulator are visible next to the simulated-throughput gate of
    bin/bench_compare.
 
@@ -185,6 +186,36 @@ let raw_benches () =
                 ~len:16))
       done)
 
+(* Precise mode records every store for crash injection: random words
+   over a region far larger than the simulated LLC, flushed by a wbinvd
+   every [precise_flush_every] stores as an epoch checkpoint would. *)
+let precise_mb = 64
+let precise_flush_every = 16_384
+
+let precise_bench () =
+  Printf.printf "raw region (Precise mode, %d MiB, wbinvd every %d stores):\n"
+    precise_mb precise_flush_every;
+  let size = precise_mb * 1024 * 1024 in
+  let region =
+    Nvm.Region.create
+      {
+        Nvm.Config.default with
+        Nvm.Config.size_bytes = size;
+        extlog_bytes = 1024 * 1024;
+        crash_support = Nvm.Config.Precise;
+      }
+  in
+  let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+  let words = size / 8 in
+  let x = ref opts.seed in
+  time ~bench:"store_i64 rand precise" ~iters:opts.stores ~sim_of (fun n ->
+      for i = 1 to n do
+        (* LCG mod 2^63; the high bits pick the word. *)
+        x := (!x * 0x2545F4914F6CDD1D) + 1;
+        Nvm.Region.write_i64 region (8 * ((!x lsr 20) mod words)) 0x5eedL;
+        if i mod precise_flush_every = 0 then Nvm.Region.wbinvd region
+      done)
+
 (* -------------------------------------------------------------- ycsb-a *)
 
 let ycsb_counters = ref []
@@ -193,20 +224,17 @@ let ycsb_bench () =
   Printf.printf
     "YCSB-A through the full INCLL stack (%d keys, %d threads x %d ops):\n"
     opts.keys opts.threads opts.ops;
-  let a0 = Gc.allocated_bytes () in
   let r =
     R.run ~seed:opts.seed ~threads:opts.threads ~ops_per_thread:opts.ops
       ~variant:Incll.System.Incll ~mix:Y.A ~dist:Y.Uniform ~nkeys:opts.keys ()
   in
-  let a1 = Gc.allocated_bytes () in
   let s =
     {
       bench = "ycsb_a put/get";
       iters = r.R.ops;
       wall_s = Float.max r.R.wall_s 1e-9;
-      (* Domain-local: excludes worker-domain allocation when threads>1,
-         so compare like with like (same --threads). *)
-      alloc_bytes = a1 -. a0;
+      (* The measured window only, summed over the worker domains. *)
+      alloc_bytes = r.R.alloc_bytes;
       sim_ns = r.R.sim_total_s *. 1e9;
     }
   in
@@ -273,6 +301,7 @@ let () =
   parse_args ();
   print_endline "NVM simulator wall-clock microbenchmark";
   raw_benches ();
+  precise_bench ();
   let ycsb_mops = ycsb_bench () in
   (match opts.json_file with
   | Some path -> write_json path ~ycsb_mops

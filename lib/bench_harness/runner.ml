@@ -15,6 +15,7 @@ type result = {
   sim_total_s : float;
   mops_sim : float;
   mops_wall : float;
+  alloc_bytes : float;
   nodes_logged : int;
   sfences : int;
   clwbs : int;
@@ -331,16 +332,23 @@ let measure
         Incll.System.nodes_logged (Store.Sharded.shard store i))
   in
   let wall0 = Unix.gettimeofday () in
-  let shard_spikes =
+  (* [Gc.allocated_bytes] counts the calling domain only, so each worker
+     measures its own window. *)
+  let shard_results =
     in_domains
       (Array.init threads (fun i ->
            let sys = Store.Sharded.shard store i in
            let enc = shard_ops.(i) in
            fun () ->
-             run_encoded sys ~shard:i enc ~chunk
-               ~threshold:latency_threshold_ns))
+             let a0 = Gc.allocated_bytes () in
+             let spikes =
+               run_encoded sys ~shard:i enc ~chunk
+                 ~threshold:latency_threshold_ns
+             in
+             (spikes, Gc.allocated_bytes () -. a0)))
   in
   let wall1 = Unix.gettimeofday () in
+  let shard_spikes = Array.map fst shard_results in
   let after = Array.init threads (snapshot_shard store) in
   let diff =
     Array.init threads (fun i ->
@@ -383,6 +391,7 @@ let measure
     mops_sim = (if sim_s > 0.0 then float_of_int ops /. sim_s /. 1e6 else 0.0);
     mops_wall =
       (if wall_s > 0.0 then float_of_int ops /. wall_s /. 1e6 else 0.0);
+    alloc_bytes = Array.fold_left (fun a (_, b) -> a +. b) 0.0 shard_results;
     nodes_logged;
     sfences = sum (fun d -> d.Nvm.Stats.sfence);
     clwbs = sum (fun d -> d.Nvm.Stats.clwb);

@@ -30,6 +30,9 @@ type result = {
   sim_total_s : float;  (** Summed over shards. *)
   mops_sim : float;
   mops_wall : float;
+  alloc_bytes : float;
+      (** Bytes allocated on the OCaml heap during the measured phase,
+          summed over the worker domains (each measures its own share). *)
   nodes_logged : int;  (** External-log appends during the measured phase. *)
   sfences : int;
   clwbs : int;

@@ -18,10 +18,21 @@ type t = {
   clwb_ns : float;
   volatile : Bytes.t;
   persisted : Bytes.t;  (* unused (length 0) in Counting mode *)
-  dirty : Bytes.t;  (* one byte per line: 0 clean, 1 dirty *)
+  (* Per-line bookkeeping, two ints per line so one host cache line holds
+     all of it: [lines.(2l)] is line [l]'s index in [dirty_list], -1 when
+     clean; [lines.(2l+1)] is its packed store-log word (Precise mode, 0
+     when it has no pending store; see "store log" below). *)
+  lines : int array;
   dirty_list : Util.Ivec.t;  (* line ids, unordered *)
-  dirty_pos : int array;  (* line -> index in dirty_list, -1 if clean *)
-  logs : Line_log.t option array;  (* Precise mode: log per dirty line *)
+  (* Precise mode: the region-wide store log and the compaction target,
+     both arrays of [chunk_bytes] chunks (allocated on first use). *)
+  mutable log : Bytes.t array;
+  mutable spare : Bytes.t array;
+  mutable log_pos : int;  (* bytes of log in use, garbage included *)
+  mutable log_live : int;
+      (* header + unpadded payload bytes on dirty chains: padding counts as
+         garbage *)
+  mutable walk : int array;  (* scratch: one chain's entry positions *)
   pending_wb : Util.Ivec.t;  (* lines clwb'd since the last sfence *)
   wb_pending : Bytes.t;  (* one byte per line: 1 iff in pending_wb *)
   evict_rng : Util.Rng.t;
@@ -55,9 +66,153 @@ let same_line a b = line_of_addr a = line_of_addr b
 
 let precise t = t.is_precise
 
+(* --- store log (Precise mode) -------------------------------------------
+
+   PCSO (§2.1) lets a crash persist any program-order prefix of each dirty
+   line's stores since its last write-back. Every Precise-mode store is
+   appended to one region-wide log, written in [chunk_bytes] chunks. An
+   entry is an 8-byte header (the word position of the same line's previous
+   entry, the line offset, the length) followed by the payload padded to 8
+   bytes; no entry straddles a chunk. A line's log word packs its newest
+   entry's word position, its entry count and its payload bytes, so its
+   stores form a chain that the crash path walks back and applies
+   oldest-first.
+
+   Committing a line only zeroes its word, which turns its entries into
+   garbage. The log position returns to 0 whenever no line is dirty (after
+   a wbinvd, a drained sweep, a crash); when garbage outgrows the live
+   entries the dirty lines' chains are copied into [spare], which then
+   becomes the log. Both chunk arrays are kept, so a region in steady state
+   allocates nothing. *)
+
+let chunk_shift = 20
+let chunk_bytes = 1 lsl chunk_shift
+let chunk_mask = chunk_bytes - 1
+
+(* Word positions take the log word's top 30 bits: an 8 GiB log. *)
+let max_chunks = 1 lsl (30 + 3 - chunk_shift)
+
+(* The payload-byte and count fields are 16 bits. A line is evicted once
+   its payload exceeds [max_line_log_bytes], so the field must hold that
+   bound plus one more store of up to a line. *)
+let max_line_log_bytes_limit = 0xffff - Config.line_size
+
+let word_count w = (w lsr 16) land 0xffff
+let word_bytes w = w land 0xffff
+let word_newest w = (w lsr 32) lsl 3
+let entry_bytes len = 8 + ((len + 7) land lnot 7)
+
+(* Header: previous entry's word position, then 6 bits of offset and 7 of
+   length (1..64). *)
+let make_header ~prev_word ~off ~len = (prev_word lsl 13) lor (off lsl 7) lor len
+let header_prev h = (h lsr 13) lsl 3
+let header_off h = (h lsr 7) land 0x3f
+let header_len h = h land 0x7f
+let header chunk o = Int64.to_int (Bytes.get_int64_le chunk o)
+let set_header chunk o h = Bytes.set_int64_le chunk o (Int64.of_int h)
+
+(* First position at or after [pos] where [e] bytes fit in one chunk. *)
+let place pos e =
+  if (pos land chunk_mask) + e <= chunk_bytes then pos
+  else (pos lor chunk_mask) + 1
+
+(* [chunks] with chunk [i] allocated, grown if needed. *)
+let with_chunk chunks i =
+  let chunks =
+    if i < Array.length chunks then chunks
+    else begin
+      if i >= max_chunks then failwith "Region: store log exceeds 8 GiB";
+      let a = Array.make (max (i + 1) (2 * Array.length chunks)) Bytes.empty in
+      Array.blit chunks 0 a 0 (Array.length chunks);
+      a
+    end
+  in
+  if Bytes.length chunks.(i) = 0 then chunks.(i) <- Bytes.create chunk_bytes;
+  chunks
+
+(* Fill [t.walk.(0 .. n-1)] with the positions of the [n] entries on the
+   chain of log word [w], newest first; returns [n]. *)
+let walk_chain t w =
+  let n = word_count w in
+  if Array.length t.walk < n then
+    t.walk <- Array.make (max n (2 * Array.length t.walk)) 0;
+  let pos = ref (word_newest w) in
+  for i = 0 to n - 1 do
+    t.walk.(i) <- !pos;
+    let h = header t.log.(!pos lsr chunk_shift) (!pos land chunk_mask) in
+    pos := header_prev h
+  done;
+  n
+
+(* Copy every dirty line's chain, oldest entry first, into [spare] and
+   make it the log: afterwards only padding is garbage. *)
+let compact t =
+  let dst = ref 0 in
+  Util.Ivec.iter
+    (fun line ->
+      let wi = (2 * line) + 1 in
+      let w = t.lines.(wi) in
+      let prev = ref 0 in
+      for i = walk_chain t w - 1 downto 0 do
+        let sp = t.walk.(i) in
+        let src = t.log.(sp lsr chunk_shift) and so = sp land chunk_mask in
+        let h = header src so in
+        let e = entry_bytes (header_len h) in
+        let pos = place !dst e in
+        t.spare <- with_chunk t.spare (pos lsr chunk_shift);
+        let d = t.spare.(pos lsr chunk_shift) and o = pos land chunk_mask in
+        set_header d o
+          (make_header ~prev_word:!prev ~off:(header_off h) ~len:(header_len h));
+        Bytes.blit src (so + 8) d (o + 8) (e - 8);
+        prev := pos lsr 3;
+        dst := pos + e
+      done;
+      t.lines.(wi) <- (!prev lsl 32) lor (w land 0xffff_ffff))
+    t.dirty_list;
+  let log = t.log in
+  t.log <- t.spare;
+  t.spare <- log;
+  t.log_pos <- !dst
+
+let log_append t line ~off ~src ~src_pos ~len =
+  if t.log_pos > chunk_bytes && t.log_pos - t.log_live > t.log_live then
+    compact t;
+  let e = entry_bytes len in
+  let pos = place t.log_pos e in
+  let ci = pos lsr chunk_shift in
+  if ci >= Array.length t.log || Bytes.length (Array.unsafe_get t.log ci) = 0
+  then t.log <- with_chunk t.log ci;
+  let chunk = Array.unsafe_get t.log ci and o = pos land chunk_mask in
+  let wi = (2 * line) + 1 in
+  let w = Array.unsafe_get t.lines wi in
+  set_header chunk o (make_header ~prev_word:(w lsr 32) ~off ~len);
+  Bytes.blit src src_pos chunk (o + 8) len;
+  (* Count and byte fields cannot carry: [create] bounds the byte count. *)
+  Array.unsafe_set t.lines wi
+    (((pos lsr 3) lsl 32) lor ((w + 0x10000 + len) land 0xffff_ffff));
+  t.log_pos <- pos + e;
+  t.log_live <- t.log_live + 8 + len
+
+(* Apply the oldest [k] entries of log word [w] to the persisted line at
+   byte [dst]. *)
+let apply_prefix t w ~k ~dst =
+  let n = walk_chain t w in
+  for i = n - 1 downto n - k do
+    let pos = t.walk.(i) in
+    let chunk = t.log.(pos lsr chunk_shift) and o = pos land chunk_mask in
+    let h = header chunk o in
+    Bytes.blit chunk (o + 8) t.persisted (dst + header_off h) (header_len h)
+  done
+
 let create (cfg : Config.t) =
   if cfg.size_bytes <= 0 || cfg.size_bytes land (Config.line_size - 1) <> 0
   then invalid_arg "Region.create: size must be a positive multiple of 64";
+  if cfg.max_line_log_bytes > max_line_log_bytes_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Region.create: max_line_log_bytes %d exceeds %d, the largest the \
+          packed per-line byte count can hold"
+         cfg.max_line_log_bytes max_line_log_bytes_limit);
   let nlines = cfg.size_bytes / Config.line_size in
   let metrics = Obs.Registry.create () in
   let stats = Stats.create () in
@@ -85,10 +240,13 @@ let create (cfg : Config.t) =
       (match cfg.crash_support with
       | Config.Precise -> Bytes.make cfg.size_bytes '\000'
       | Config.Counting -> Bytes.create 0);
-    dirty = Bytes.make nlines '\000';
+    lines = Array.init (2 * nlines) (fun i -> if i land 1 = 0 then -1 else 0);
     dirty_list = Util.Ivec.create ~capacity:1024 ();
-    dirty_pos = Array.make nlines (-1);
-    logs = Array.make (if cfg.crash_support = Config.Precise then nlines else 0) None;
+    log = [||];
+    spare = [||];
+    log_pos = 0;
+    log_live = 0;
+    walk = Array.make 64 0;
     pending_wb = Util.Ivec.create ~capacity:64 ();
     wb_pending = Bytes.make nlines '\000';
     evict_rng = Util.Rng.create ~seed:0x5eed_ca5e;
@@ -151,23 +309,34 @@ let all_series t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 let size t = t.cfg.Config.size_bytes
 let dirty_line_count t = Util.Ivec.length t.dirty_list
-let is_dirty_line t line = Bytes.unsafe_get t.dirty line <> '\000'
+let is_dirty_line t line = t.lines.(2 * line) >= 0
+let store_log_bytes t = t.log_pos
 
 (* --- dirty tracking ------------------------------------------------- *)
 
+(* Drop [line] (at [dirty_list] index [idx]) from the dirty set. The log
+   is empty once no line is dirty, so its position restarts at 0. *)
+let remove_dirty t line idx =
+  let moved = Util.Ivec.swap_remove t.dirty_list idx in
+  if moved >= 0 then t.lines.(2 * moved) <- idx;
+  t.lines.(2 * line) <- -1;
+  if Util.Ivec.length t.dirty_list = 0 then begin
+    t.log_pos <- 0;
+    t.log_live <- 0
+  end
+
 let commit_line t line =
-  if Bytes.unsafe_get t.dirty line = '\001' then begin
+  let idx = t.lines.(2 * line) in
+  if idx >= 0 then begin
     if precise t then begin
       let pos = line * Config.line_size in
       Bytes.blit t.volatile pos t.persisted pos Config.line_size;
       mirror_line t line;
-      (match t.logs.(line) with Some log -> Line_log.clear log | None -> ())
+      let w = t.lines.((2 * line) + 1) in
+      t.log_live <- t.log_live - (8 * word_count w) - word_bytes w;
+      t.lines.((2 * line) + 1) <- 0
     end;
-    Bytes.unsafe_set t.dirty line '\000';
-    let idx = t.dirty_pos.(line) in
-    let moved = Util.Ivec.swap_remove t.dirty_list idx in
-    if moved >= 0 then t.dirty_pos.(moved) <- idx;
-    t.dirty_pos.(line) <- -1;
+    remove_dirty t line idx;
     t.stats.Stats.lines_committed <- t.stats.Stats.lines_committed + 1
   end
 
@@ -191,33 +360,22 @@ let evict_some t =
   end
 
 let mark_dirty t line =
-  if Bytes.unsafe_get t.dirty line = '\000' then begin
-    Bytes.unsafe_set t.dirty line '\001';
-    t.dirty_pos.(line) <- Util.Ivec.length t.dirty_list;
+  if Array.unsafe_get t.lines (2 * line) < 0 then begin
+    Array.unsafe_set t.lines (2 * line) (Util.Ivec.length t.dirty_list);
     Util.Ivec.push t.dirty_list line;
     if Util.Ivec.length t.dirty_list > t.max_dirty then evict_some t
   end
 
-let log_of_line t line =
-  match t.logs.(line) with
-  | Some log -> log
-  | None ->
-      let log = Line_log.create () in
-      t.logs.(line) <- Some log;
-      log
-
 (* Record one intra-line store in Precise mode, evicting the line first if
-   its pending log outgrew the configured bound (a legal cache behaviour
-   that keeps simulator memory bounded). [commit_line] clears the log in
-   place rather than dropping it, so the single lookup stays valid across
-   the eviction. *)
+   its pending stores outgrew the configured bound (a legal cache
+   behaviour that keeps each chain short). *)
 let record_store t line ~off ~src ~src_pos ~len =
-  let log = log_of_line t line in
-  if Line_log.payload_bytes log > t.max_line_log_bytes then begin
+  if word_bytes (Array.unsafe_get t.lines ((2 * line) + 1)) > t.max_line_log_bytes
+  then begin
     commit_line t line;
     t.stats.Stats.evictions <- t.stats.Stats.evictions + 1
   end;
-  Line_log.append log ~off ~src ~src_pos ~len
+  log_append t line ~off ~src ~src_pos ~len
 
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size_bytes then
@@ -553,22 +711,16 @@ let crash_with t ~choose =
   if not (precise t) then
     failwith "Region.crash: region was created in Counting mode";
   while dirty_line_count t > 0 do
-    let line = Util.Ivec.get t.dirty_list (dirty_line_count t - 1) in
-    (match t.logs.(line) with
-    | Some log ->
-        let n = Line_log.count log in
-        let k = choose ~line ~nwrites:n in
-        if k < 0 || k > n then invalid_arg "Region.crash_with: bad prefix";
-        Line_log.apply_prefix log ~k ~dst:t.persisted
-          ~dst_pos:(line * Config.line_size);
-        Line_log.clear log
-    | None -> ());
+    let idx = dirty_line_count t - 1 in
+    let line = Util.Ivec.get t.dirty_list idx in
+    let w = t.lines.((2 * line) + 1) in
+    let n = word_count w in
+    let k = choose ~line ~nwrites:n in
+    if k < 0 || k > n then invalid_arg "Region.crash_with: bad prefix";
+    apply_prefix t w ~k ~dst:(line * Config.line_size);
+    t.lines.((2 * line) + 1) <- 0;
     (* Remove from the dirty set without committing volatile content. *)
-    Bytes.unsafe_set t.dirty line '\000';
-    let idx = t.dirty_pos.(line) in
-    let moved = Util.Ivec.swap_remove t.dirty_list idx in
-    if moved >= 0 then t.dirty_pos.(moved) <- idx;
-    t.dirty_pos.(line) <- -1
+    remove_dirty t line idx
   done;
   clear_pending_wb t;
   (* Power is gone: the LLC is cold. Without this, post-crash recovery
@@ -601,8 +753,7 @@ let pending_writes t =
   let acc = ref [] in
   Util.Ivec.iter
     (fun line ->
-      let n = match t.logs.(line) with Some l -> Line_log.count l | None -> 0 in
-      acc := (line, n) :: !acc)
+      acc := (line, word_count t.lines.((2 * line) + 1)) :: !acc)
     t.dirty_list;
   List.sort compare !acc
 

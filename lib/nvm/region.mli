@@ -22,7 +22,10 @@ type addr = int
 (** Byte offset into the region. *)
 
 val create : Config.t -> t
-(** Fresh region, zero-filled, both images identical, nothing dirty. *)
+(** Fresh region, zero-filled, both images identical, nothing dirty.
+    Raises [Invalid_argument] if the size is not a positive multiple of
+    64, or if [max_line_log_bytes] exceeds 65471 (a line's pending
+    payload bytes are packed in 16 bits). *)
 
 val config : t -> Config.t
 val stats : t -> Stats.t
@@ -71,6 +74,13 @@ val line_of_addr : addr -> int
 val same_line : addr -> addr -> bool
 val dirty_line_count : t -> int
 val is_dirty_line : t -> int -> bool
+
+val store_log_bytes : t -> int
+(** Bytes in use in the Precise-mode store log that records each dirty
+    line's pending stores, garbage included (always 0 in Counting mode).
+    It reads 0 whenever no line is dirty. Before a store is recorded, the
+    log is compacted if it exceeds one 1 MiB chunk and more than half of
+    it is garbage. *)
 
 (** {1 Loads and stores (volatile image)} *)
 

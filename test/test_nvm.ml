@@ -212,6 +212,329 @@ let line_log_overflow_evicts () =
   let v = Int64.to_int (Nvm.Region.read_i64 r 4096) in
   check "value is some prior state" true (v >= 0 && v <= 10_000)
 
+(* --- store log ---------------------------------------------------------- *)
+
+(* Naive reference for Precise-mode PCSO: each dirty line keeps its pending
+   stores in a list, and the dirty set is an array kept in the region's
+   swap-remove order, which [flush_some], [wbinvd] and crashes drain from
+   the back. Counters go to a plain [Nvm.Stats.t]. *)
+module Model = struct
+  type t = {
+    max_log : int;
+    volatile : Bytes.t;
+    persisted : Bytes.t;
+    logs : (int * string) list array;  (* pending stores, newest first *)
+    pos : int array;  (* line -> index in [dirty], -1 when clean *)
+    dirty : int array;
+    mutable ndirty : int;
+    mutable wb : int list;  (* distinct clwb'd lines, newest first *)
+    st : Nvm.Stats.t;
+  }
+
+  let create ~size ~max_log =
+    let nlines = size / 64 in
+    {
+      max_log;
+      volatile = Bytes.make size '\000';
+      persisted = Bytes.make size '\000';
+      logs = Array.make nlines [];
+      pos = Array.make nlines (-1);
+      dirty = Array.make nlines 0;
+      ndirty = 0;
+      wb = [];
+      st = Nvm.Stats.create ();
+    }
+
+  let remove m line =
+    let i = m.pos.(line) in
+    m.ndirty <- m.ndirty - 1;
+    let last = m.dirty.(m.ndirty) in
+    m.dirty.(i) <- last;
+    m.pos.(last) <- i;
+    m.pos.(line) <- -1;
+    m.logs.(line) <- []
+
+  let commit m line =
+    if m.pos.(line) >= 0 then begin
+      Bytes.blit m.volatile (line * 64) m.persisted (line * 64) 64;
+      remove m line;
+      m.st.lines_committed <- m.st.lines_committed + 1
+    end
+
+  let payload m line =
+    List.fold_left (fun a (_, s) -> a + String.length s) 0 m.logs.(line)
+
+  let store m addr s =
+    let line = addr / 64 in
+    Bytes.blit_string s 0 m.volatile addr (String.length s);
+    if payload m line > m.max_log then begin
+      commit m line;
+      m.st.evictions <- m.st.evictions + 1
+    end;
+    m.logs.(line) <- (addr mod 64, s) :: m.logs.(line);
+    if m.pos.(line) < 0 then begin
+      m.pos.(line) <- m.ndirty;
+      m.dirty.(m.ndirty) <- line;
+      m.ndirty <- m.ndirty + 1
+    end;
+    m.st.writes <- m.st.writes + 1;
+    m.st.bytes_written <- m.st.bytes_written + String.length s
+
+  let rec write m addr s =
+    if s <> "" then begin
+      let chunk = min (String.length s) (64 - (addr mod 64)) in
+      store m addr (String.sub s 0 chunk);
+      write m (addr + chunk) (String.sub s chunk (String.length s - chunk))
+    end
+
+  let clwb m addr =
+    if not (List.mem (addr / 64) m.wb) then m.wb <- (addr / 64) :: m.wb;
+    m.st.clwb <- m.st.clwb + 1
+
+  let sfence m =
+    List.iter (commit m) (List.rev m.wb);
+    m.wb <- [];
+    m.st.sfence <- m.st.sfence + 1
+
+  let flush_some m budget =
+    let n = min budget m.ndirty in
+    if n > 0 then begin
+      for _ = 1 to n do
+        commit m m.dirty.(m.ndirty - 1)
+      done;
+      m.st.clwb <- m.st.clwb + n;
+      m.st.sfence <- m.st.sfence + 1;
+      m.st.sweep_quanta <- m.st.sweep_quanta + 1;
+      m.st.sweep_lines <- m.st.sweep_lines + n
+    end;
+    m.ndirty
+
+  let wbinvd m =
+    let n = m.ndirty in
+    while m.ndirty > 0 do
+      commit m m.dirty.(m.ndirty - 1)
+    done;
+    m.wb <- [];
+    m.st.wbinvd <- m.st.wbinvd + 1;
+    m.st.wbinvd_lines <- m.st.wbinvd_lines + n
+
+  let crash_with m ~choose =
+    while m.ndirty > 0 do
+      let line = m.dirty.(m.ndirty - 1) in
+      let log = List.rev m.logs.(line) in
+      let k = choose ~line ~nwrites:(List.length log) in
+      List.iteri
+        (fun i (off, s) ->
+          if i < k then
+            Bytes.blit_string s 0 m.persisted ((line * 64) + off)
+              (String.length s))
+        log;
+      remove m line
+    done;
+    m.wb <- [];
+    Bytes.blit m.persisted 0 m.volatile 0 (Bytes.length m.persisted);
+    m.st.crashes <- m.st.crashes + 1
+
+  let pending_writes m =
+    List.sort compare
+      (List.init m.ndirty (fun i ->
+           let line = m.dirty.(i) in
+           (line, List.length m.logs.(line))))
+end
+
+let log_cfg ~size ~max_log =
+  {
+    (small_cfg ()) with
+    Nvm.Config.size_bytes = size;
+    max_dirty_lines = None;
+    max_line_log_bytes = max_log;
+  }
+
+let pending_t = Alcotest.(list (pair int int))
+
+(* Drive the region and the model with one seeded stream of stores
+   (sub-line [write_string]s, aligned words, multi-line spans) over a
+   [window_lines]-line hot window, mixed with clwb/sfence and sweep quanta
+   at [flush_pct] percent of the ops (a tenth of them a wbinvd when
+   [wbinvd] holds); then crash both with the
+   same seeded choice and compare everything observable. The store log
+   must read 0 after every wbinvd, drained sweep and crash. Returns true
+   iff the log ever shrank while lines stayed dirty (a compaction); with
+   [stop_after_compaction] the crash comes a few ops after the first one,
+   while the copied chains are still pending. *)
+let run_log_differential ?(stop_after_compaction = false) ~seed ~ops
+    ~window_lines ~flush_pct ~wbinvd ~max_log () =
+  let size = 64 * 1024 in
+  let r = Nvm.Region.create (log_cfg ~size ~max_log) in
+  let m = Model.create ~size ~max_log in
+  let rng = Util.Rng.create ~seed in
+  let window = window_lines * 64 in
+  let compacted = ref false in
+  let log_is_empty what =
+    check_int (what ^ " empties the store log") 0 (Nvm.Region.store_log_bytes r)
+  in
+  let limit = ref ops and i = ref 0 in
+  while !i < !limit do
+    incr i;
+    let i = !i in
+    let before = Nvm.Region.store_log_bytes r in
+    let roll = Util.Rng.int rng 100 in
+    if roll >= flush_pct then begin
+      let addr, s =
+        match Util.Rng.int rng 3 with
+        | 0 ->
+            let off = Util.Rng.int rng 64 in
+            let len = 1 + Util.Rng.int rng (64 - off) in
+            ( (64 * Util.Rng.int rng window_lines) + off,
+              String.init len (fun _ -> Char.chr (Util.Rng.int rng 256)) )
+        | 1 ->
+            (8 * Util.Rng.int rng (window / 8), String.make 8 (Char.chr (i land 0xff)))
+        | _ ->
+            let len = 1 + Util.Rng.int rng 200 in
+            ( Util.Rng.int rng window,
+              String.init len (fun j -> Char.chr ((i + j) land 0xff)) )
+      in
+      Nvm.Region.write_string r addr s;
+      Model.write m addr s;
+      if Nvm.Region.dirty_line_count r > 0 && Nvm.Region.store_log_bytes r < before
+      then begin
+        if stop_after_compaction && not !compacted then limit := i + 8;
+        compacted := true
+      end
+    end
+    else begin
+      match Util.Rng.int rng 10 with
+      | 0 when wbinvd ->
+          Nvm.Region.wbinvd r;
+          Model.wbinvd m;
+          log_is_empty "wbinvd"
+      | 1 | 2 | 3 ->
+          let b = 1 + Util.Rng.int rng 8 in
+          let left = Nvm.Region.flush_some r ~budget_lines:b in
+          check_int "flush_some remaining" (Model.flush_some m b) left;
+          if left = 0 then log_is_empty "a drained sweep"
+      | 0 | 4 | 5 | 6 ->
+          Nvm.Region.sfence r;
+          Model.sfence m
+      | _ ->
+          let addr = Util.Rng.int rng window in
+          Nvm.Region.clwb r addr;
+          Model.clwb m addr
+    end;
+    if i mod 64 = 0 then
+      Alcotest.check pending_t "pending writes" (Model.pending_writes m)
+        (Nvm.Region.pending_writes r)
+  done;
+  Alcotest.check pending_t "pending writes before the crash"
+    (Model.pending_writes m)
+    (Nvm.Region.pending_writes r);
+  let calls = ref [] in
+  let choose ~line ~nwrites =
+    calls := (line, nwrites) :: !calls;
+    Hashtbl.hash (seed, line, nwrites) mod (nwrites + 1)
+  in
+  Nvm.Region.crash_with r ~choose;
+  let region_calls = !calls in
+  calls := [];
+  Model.crash_with m ~choose;
+  Alcotest.check pending_t "same choose calls, same order" !calls region_calls;
+  log_is_empty "a crash";
+  Alcotest.(check (list (pair string int)))
+    "stats" (Nvm.Stats.int_fields m.Model.st)
+    (Nvm.Stats.int_fields (Nvm.Region.stats r));
+  Alcotest.(check string)
+    "persisted image"
+    (Bytes.to_string m.Model.persisted)
+    (Nvm.Region.read_string r 0 ~len:size);
+  !compacted
+
+let store_log_matches_model =
+  QCheck.Test.make ~name:"store log = per-line list model" ~count:150
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 1500))
+    (fun (seed, ops) ->
+      ignore
+        (run_log_differential ~seed ~ops ~window_lines:24 ~flush_pct:15
+           ~wbinvd:true ~max_log:96 ()
+          : bool);
+      true)
+
+let store_log_compaction_matches_model () =
+  (* No clean moment, so the log passes a chunk and compacts, with
+     evictions and sfences turning chains into garbage; the crash follows
+     the compaction closely enough to apply the copied chains. *)
+  List.iter
+    (fun seed ->
+      check "compacted" true
+        (run_log_differential ~stop_after_compaction:true ~seed ~ops:150_000
+           ~window_lines:48 ~flush_pct:2 ~wbinvd:false ~max_log:2048 ()))
+    [ 3; 17; 29 ]
+
+let store_log_bounded_without_checkpoints () =
+  (* No wbinvd ever: capacity and log-size evictions alone turn entries
+     into garbage, and compaction keeps the log within twice the pending
+     entries (16 bytes per word store) plus one 1 MiB chunk. *)
+  let r =
+    Nvm.Region.create
+      {
+        (small_cfg ()) with
+        Nvm.Config.max_dirty_lines = Some 12_000;
+        max_line_log_bytes = 256;
+      }
+  in
+  let rng = Util.Rng.create ~seed:42 in
+  let last = ref 0 and shrinks = ref 0 in
+  for i = 1 to 1_000_000 do
+    Nvm.Region.write_int r (8 * Util.Rng.int rng (1024 * 1024 / 8)) i;
+    if i mod 5000 = 0 then begin
+      let used = Nvm.Region.store_log_bytes r in
+      if used < !last then incr shrinks;
+      last := used;
+      let live =
+        List.fold_left
+          (fun a (_, n) -> a + (16 * n))
+          0 (Nvm.Region.pending_writes r)
+      in
+      if used > (2 * live) + (1 lsl 20) then
+        Alcotest.failf "store log %d B > 2 x %d B live + 1 MiB after %d stores"
+          used live i
+    end
+  done;
+  check "compaction ran" true (!shrinks > 0);
+  (* The compacted chains still carry every pending store. *)
+  let image = Nvm.Region.read_string r 0 ~len:(1024 * 1024) in
+  Nvm.Region.crash_persist_all r;
+  check "persist-all keeps the volatile image" true
+    (image = Nvm.Region.read_string r 0 ~len:(1024 * 1024))
+
+let line_log_limit_enforced () =
+  let limit = 0xffff - 64 in
+  Alcotest.check_raises "rejected past the packed byte count"
+    (Invalid_argument
+       (Printf.sprintf
+          "Region.create: max_line_log_bytes %d exceeds %d, the largest the \
+           packed per-line byte count can hold"
+          (limit + 1) limit))
+    (fun () ->
+      ignore (Nvm.Region.create { (small_cfg ()) with max_line_log_bytes = limit + 1 }));
+  (* At the limit a line's payload reaches exactly 0xffff bytes without
+     carrying into the entry count: 63 + 1023 x 64 bytes. *)
+  let r = Nvm.Region.create { (small_cfg ()) with max_line_log_bytes = limit } in
+  Nvm.Region.write_string r 4096 (String.make 63 'a');
+  for i = 1 to 1023 do
+    Nvm.Region.write_string r 4096 (String.make 64 (Char.chr (i land 0xff)))
+  done;
+  Alcotest.check pending_t "one line, 1024 stores" [ (64, 1024) ]
+    (Nvm.Region.pending_writes r);
+  check_int "no eviction yet" 0 (Nvm.Region.stats r).Nvm.Stats.evictions;
+  Nvm.Region.write_string r 4096 (String.make 64 'z');
+  check_int "the next store evicts" 1 (Nvm.Region.stats r).Nvm.Stats.evictions;
+  Alcotest.check pending_t "and starts a fresh chain" [ (64, 1) ]
+    (Nvm.Region.pending_writes r);
+  Nvm.Region.crash_with r ~choose:(fun ~line:_ ~nwrites:_ -> 0);
+  (* The eviction wrote the line back with the new store already in it. *)
+  Alcotest.(check string) "the evicted state persisted" (String.make 64 'z')
+    (Nvm.Region.read_string r 4096 ~len:64)
+
 (* --- statistics and clock ---------------------------------------------- *)
 
 let stats_count_events () =
@@ -434,6 +757,12 @@ let tests =
       Alcotest.test_case "eviction bounds dirty set" `Quick eviction_bounds_dirty_lines;
       Alcotest.test_case "evicted lines survive" `Quick evicted_lines_survive_crash;
       Alcotest.test_case "line-log overflow evicts" `Quick line_log_overflow_evicts;
+      QCheck_alcotest.to_alcotest store_log_matches_model;
+      Alcotest.test_case "store log compaction = model" `Quick
+        store_log_compaction_matches_model;
+      Alcotest.test_case "store log bounded without checkpoints" `Quick
+        store_log_bounded_without_checkpoints;
+      Alcotest.test_case "line-log limit enforced" `Quick line_log_limit_enforced;
       Alcotest.test_case "stats count events" `Quick stats_count_events;
       Alcotest.test_case "clock prices events" `Quick clock_prices_events;
       Alcotest.test_case "sfence extra latency" `Quick sfence_extra_latency_charged;

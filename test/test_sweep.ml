@@ -111,6 +111,7 @@ let mid_sweep_word_unadvanced () =
   check "sweep finished" false (Epoch.Manager.sweeping em);
   check_int "epoch advanced once" 3 (Epoch.Manager.current em);
   check_int "fully drained" 0 (Nvm.Region.dirty_line_count r);
+  check_int "the drain empties the store log" 0 (Nvm.Region.store_log_bytes r);
   Alcotest.(check int64)
     "durable word fenced after drain" 3L
     (Nvm.Region.read_persisted_i64 r Nvm.Layout.off_durable_epoch)
