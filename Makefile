@@ -28,7 +28,9 @@ test:
 # tail-latency gate against the committed baseline + a wall-clock
 # microbench smoke run (exercises the simulator fast paths and the
 # --min-mops gate plumbing; the bar is deliberately tiny — real
-# comparisons are two --json reports on the same machine) + the
+# comparisons are two --json reports on the same machine — plus the
+# --max-alloc-bytes gate on the YCSB-A row, set at about twice the
+# ~37 B/op it allocates, which is deterministic for this seed) + the
 # serving-layer gate (a real server process driven over the wire) + the
 # crash-restart/network-fault torture (chaos-net).
 check: build test bench-gate latency microbench serve chaos-net
@@ -121,7 +123,7 @@ latency: latency-throughput latency-latency latency-rto latency-improve
 microbench:
 	dune exec bin/microbench.exe -- --stores 200000 --spans 50000 \
 	  --keys 2000 --ops 2000 --threads 2 --min-mops 0.005 \
-	  --json _build/microbench_check.json
+	  --max-alloc-bytes 75 --json _build/microbench_check.json
 
 # Serving-layer gate: start a real bin/incll_server.exe process on a
 # unix socket, drive it with the remote open-loop bench, SIGTERM it and

@@ -625,8 +625,8 @@ let micro () =
       (let perm = ref Masstree.Permutation.empty in
        Test.make ~name:"permutation insert+remove"
          (Staged.stage (fun () ->
-              let p, _ = Masstree.Permutation.insert !perm ~rank:0 in
-              let p, _ = Masstree.Permutation.remove p ~rank:0 in
+              let p = Masstree.Permutation.insert !perm ~rank:0 in
+              let p = Masstree.Permutation.remove p ~rank:0 in
               perm := p)));
       (let sys =
          Sys_.create

@@ -19,6 +19,11 @@
      --json FILE   write a machine-readable report
      --min-mops F  exit 1 if the YCSB-A wall-clock Mops falls below F
                    (0 = report only; used by the CI smoke gate)
+     --max-alloc-bytes B
+                   exit 1 if the YCSB-A row allocates more than B bytes per
+                   op (0 = report only). Unlike wall time, allocation per
+                   op is deterministic for a seeded stream, so this gate
+                   can sit close to the achieved value (DESIGN.md §11).
 
    The simulated counters (writes/reads/clwb/sfence/sim_ns) of the
    YCSB-A section are included in the report: two builds that disagree
@@ -36,6 +41,7 @@ type opts = {
   mutable seed : int;
   mutable json_file : string option;
   mutable min_mops : float;
+  mutable max_alloc_bytes : float;
 }
 
 let opts =
@@ -48,12 +54,14 @@ let opts =
     seed = 1;
     json_file = None;
     min_mops = 0.0;
+    max_alloc_bytes = 0.0;
   }
 
 let usage () =
   print_endline
     "usage: microbench [--stores N] [--spans N] [--keys N] [--ops N]\n\
-     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]";
+     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]\n\
+     \                  [--max-alloc-bytes B]";
   exit 2
 
 let parse_args () =
@@ -82,6 +90,9 @@ let parse_args () =
         go rest
     | "--min-mops" :: v :: rest ->
         opts.min_mops <- float_of_string v;
+        go rest
+    | "--max-alloc-bytes" :: v :: rest ->
+        opts.max_alloc_bytes <- float_of_string v;
         go rest
     | ("--help" | "-h") :: _ -> usage ()
     | x :: _ ->
@@ -219,6 +230,7 @@ let precise_bench () =
 (* -------------------------------------------------------------- ycsb-a *)
 
 let ycsb_counters = ref []
+let ycsb_alloc_per_op = ref 0.0
 
 let ycsb_bench () =
   Printf.printf
@@ -239,6 +251,7 @@ let ycsb_bench () =
     }
   in
   report s;
+  ycsb_alloc_per_op := s.alloc_bytes /. float_of_int s.iters;
   Printf.printf
     "  %-24s counters: writes=%d reads=%d clwb=%d sfence=%d sim_ns=%.0f\n%!"
     "" r.R.writes r.R.reads r.R.clwbs r.R.sfences (r.R.sim_total_s *. 1e9);
@@ -310,5 +323,13 @@ let () =
     Printf.eprintf
       "microbench: YCSB-A wall-clock %.2f Mops below the --min-mops %.2f gate\n"
       ycsb_mops opts.min_mops;
+    exit 1
+  end;
+  if opts.max_alloc_bytes > 0.0 && !ycsb_alloc_per_op > opts.max_alloc_bytes
+  then begin
+    Printf.eprintf
+      "microbench: YCSB-A allocates %.1f B/op, above the --max-alloc-bytes \
+       %.1f gate\n"
+      !ycsb_alloc_per_op opts.max_alloc_bytes;
     exit 1
   end

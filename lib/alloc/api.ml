@@ -5,7 +5,12 @@ type t = {
 
 let of_durable d =
   {
-    alloc = (fun ~aligned ~size -> Durable.alloc ~aligned d ~size);
+    alloc =
+      (* Not [~aligned] straight through: filling the optional argument
+         from a variable would box [Some aligned] on every call. *)
+      (fun ~aligned ~size ->
+        if aligned then Durable.alloc ~aligned:true d ~size
+        else Durable.alloc d ~size);
     dealloc = Durable.dealloc d;
   }
 

@@ -1,76 +1,69 @@
-type decoded = {
-  next : int;
-  next_incll : int;
-  epoch : int;
-  ctr_matches : bool;
-  size_class : int;
+type view = {
+  mutable next : int;
+  mutable next_incll : int;
+  mutable epoch : int;
+  mutable ctr_matches : bool;
+  mutable size_class : int;
 }
 
-let encode ~ptr ~ctr ~cls2 ~half =
+let view () =
+  { next = 0; next_incll = 0; epoch = 0; ctr_matches = true; size_class = 0 }
+
+(* A word's low 48 bits: class bits, pointer, counter. Its top 16 bits
+   are the epoch half. *)
+let encode ~ptr ~ctr ~cls2 =
   if ptr land 15 <> 0 then invalid_arg "Chunk_header: unaligned pointer";
-  let open Int64 in
-  logor
-    (of_int (ctr land 3))
-    (logor
-       (shift_left (of_int (ptr lsr 4)) 2)
-       (logor
-          (shift_left (of_int (cls2 land 3)) 46)
-          (shift_left (of_int (half land 0xffff)) 48)))
+  ((cls2 land 3) lsl 46) lor ((ptr lsr 4) lsl 2) lor (ctr land 3)
 
-let decode_word w =
-  let ctr = Util.Bits.get_int w ~lo:0 ~width:2 in
-  let ptr = Util.Bits.get_int w ~lo:2 ~width:44 lsl 4 in
-  let cls2 = Util.Bits.get_int w ~lo:46 ~width:2 in
-  let half = Util.Bits.get_int w ~lo:48 ~width:16 in
-  (ctr, ptr, cls2, half)
+let ctr_of low = low land 3
+let ptr_of low = ((low lsr 2) land 0xfff_ffff_ffff) lsl 4
+let cls2_of low = (low lsr 46) land 3
 
-let read region ~chunk =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let w1 = Nvm.Region.read_i64 region (chunk + 8) in
-  let ctr0, ptr0, cls_lo, hi = decode_word w0 in
-  let ctr1, ptr1, cls_hi, lo = decode_word w1 in
-  {
-    next = ptr0;
-    next_incll = ptr1;
-    epoch = (hi lsl 16) lor lo;
-    ctr_matches = ctr0 = ctr1;
-    size_class = (cls_hi lsl 2) lor cls_lo;
-  }
+let read region ~chunk v =
+  let l0 = Nvm.Region.read_split region chunk in
+  let hi = Nvm.Region.split_top region in
+  let l1 = Nvm.Region.read_split region (chunk + 8) in
+  let lo = Nvm.Region.split_top region in
+  v.next <- ptr_of l0;
+  v.next_incll <- ptr_of l1;
+  v.epoch <- (hi lsl 16) lor lo;
+  v.ctr_matches <- ctr_of l0 = ctr_of l1;
+  v.size_class <- (cls2_of l1 lsl 2) lor cls2_of l0
 
 let write_words region ~chunk ~next ~next_incll ~ctr ~epoch ~cls =
-  let hi = (epoch lsr 16) land 0xffff and lo = epoch land 0xffff in
   (* word1 (the log copy) strictly before word0; same line => PCSO keeps
      this order on a crash. *)
-  Nvm.Region.write_i64 region (chunk + 8)
-    (encode ~ptr:next_incll ~ctr ~cls2:(cls lsr 2) ~half:lo);
-  Nvm.Region.write_i64 region chunk
-    (encode ~ptr:next ~ctr ~cls2:cls ~half:hi);
+  Nvm.Region.write_split region (chunk + 8) ~top:epoch
+    ~low:(encode ~ptr:next_incll ~ctr ~cls2:(cls lsr 2));
+  Nvm.Region.write_split region chunk ~top:(epoch lsr 16)
+    ~low:(encode ~ptr:next ~ctr ~cls2:cls);
   Nvm.Region.release_fence region
 
 let write_first_touch region ~chunk ~current_next ~epoch ~cls =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr0, _, _, _ = decode_word w0 in
+  let ctr0 = ctr_of (Nvm.Region.read_split region chunk) in
   write_words region ~chunk ~next:current_next ~next_incll:current_next
-    ~ctr:((ctr0 + 1) land 3) ~epoch ~cls
+    ~ctr:(ctr0 + 1) ~epoch ~cls
 
 let write_next region ~chunk ~next =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr, _, cls_lo, hi = decode_word w0 in
-  Nvm.Region.write_i64 region chunk
-    (encode ~ptr:next ~ctr ~cls2:cls_lo ~half:hi)
+  let l0 = Nvm.Region.read_split region chunk in
+  Nvm.Region.write_split region chunk
+    ~top:(Nvm.Region.split_top region)
+    ~low:(encode ~ptr:next ~ctr:(ctr_of l0) ~cls2:(cls2_of l0))
 
 let init region ~chunk ~epoch ~cls =
   write_words region ~chunk ~next:0 ~next_incll:0 ~ctr:0 ~epoch ~cls
 
 let restore region ~chunk ~marker_epoch =
-  let d = read region ~chunk in
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr0, _, _, _ = decode_word w0 in
+  let l0 = Nvm.Region.read_split region chunk in
+  let l1 = Nvm.Region.read_split region (chunk + 8) in
+  let next_incll = ptr_of l1 in
+  let cls = (cls2_of l1 lsl 2) lor cls2_of l0 in
+  let ctr0 = ctr_of (Nvm.Region.read_split region chunk) in
   (* The new ctr must differ from word0's current one: [write_words] emits
      word1 first, so a crash that persists only word1 would otherwise leave
      the two ctrs equal by coincidence (old ctr0 = 0) while the decoded
      epoch is a chimera of word0's high half and word1's low half — a state
      that reads as committed but still carries the failed [next]. With
      ctr0+1 a torn restore is always a visible mismatch and simply re-runs. *)
-  write_words region ~chunk ~next:d.next_incll ~next_incll:d.next_incll
-    ~ctr:((ctr0 + 1) land 3) ~epoch:marker_epoch ~cls:d.size_class
+  write_words region ~chunk ~next:next_incll ~next_incll ~ctr:(ctr0 + 1)
+    ~epoch:marker_epoch ~cls

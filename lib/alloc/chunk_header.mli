@@ -18,19 +18,27 @@
     modification of an epoch. Equal counters ⇒ both words are from the same
     update and the epoch halves combine; unequal counters ⇒ the crash hit
     between the two stores and [next] must be recovered from [nextInCLL]
-    (§5.1). *)
+    (§5.1).
 
-type decoded = {
-  next : int;  (** Current free-list successor (payload of word0). *)
-  next_incll : int;  (** Successor at the beginning of [epoch]. *)
-  epoch : int;  (** 32-bit epoch reassembled from the two halves. *)
-  ctr_matches : bool;
-  size_class : int;
+    The epoch halves occupy bit 63, so both words move through the region
+    as split words ({!Nvm.Region.read_split}), and a header decodes into a
+    caller-owned {!view}: no function here allocates. *)
+
+type view = {
+  mutable next : int;  (** Current free-list successor (payload of word0). *)
+  mutable next_incll : int;  (** Successor at the beginning of [epoch]. *)
+  mutable epoch : int;  (** 32-bit epoch reassembled from the two halves. *)
+  mutable ctr_matches : bool;
+  mutable size_class : int;
 }
 
-val read : Nvm.Region.t -> chunk:int -> decoded
-(** Decode both header words. When [ctr_matches] is false, [epoch] is
-    meaningless and only [next_incll] and [size_class] may be trusted. *)
+val view : unit -> view
+(** A zeroed view to decode into (one per allocator). *)
+
+val read : Nvm.Region.t -> chunk:int -> view -> unit
+(** Decode both header words into the view. When [ctr_matches] is false,
+    [epoch] is meaningless and only [next_incll] and [size_class] may be
+    trusted. *)
 
 val write_first_touch :
   Nvm.Region.t -> chunk:int -> current_next:int -> epoch:int -> cls:int -> unit

@@ -14,6 +14,7 @@ type t = {
   mutable freelist_allocs : int;
   mutable bump_allocs : int;
   mutable quarantined : int;
+  hdr : Chunk_header.view;  (* decode target of every header read *)
   c_quarantined : int ref;  (* "alloc.quarantined_chains" registry counter *)
 }
 
@@ -47,10 +48,15 @@ let bump_position t = Meta_line.head t.region ~line:bump_line
 let current t = Epoch.Manager.current t.em
 let marker t = Epoch.Manager.first_epoch_of_run t.em
 
+(* Decode [chunk]'s header into [t.hdr]. *)
+let read_header t chunk =
+  Chunk_header.read t.region ~chunk t.hdr;
+  t.hdr
+
 (* Lazy chunk-header recovery (§5.1): restore [next] from [nextInCLL] when
    the header's counters are torn or its epoch failed. *)
 let recover_chunk t chunk =
-  let d = Chunk_header.read t.region ~chunk in
+  let d = read_header t chunk in
   if not d.Chunk_header.ctr_matches then
     Chunk_header.restore t.region ~chunk ~marker_epoch:(marker t)
   else if
@@ -60,12 +66,12 @@ let recover_chunk t chunk =
 
 let chunk_next t chunk =
   recover_chunk t chunk;
-  (Chunk_header.read t.region ~chunk).Chunk_header.next
+  (read_header t chunk).Chunk_header.next
 
 (* First-touch discipline before modifying a chunk's [next] in this epoch. *)
 let touch_chunk t chunk =
   recover_chunk t chunk;
-  let d = Chunk_header.read t.region ~chunk in
+  let d = read_header t chunk in
   if d.Chunk_header.epoch <> current t then
     Chunk_header.write_first_touch t.region ~chunk
       ~current_next:d.Chunk_header.next ~epoch:(current t)
@@ -122,8 +128,7 @@ let merge_limbo t () =
     let lhead = Meta_line.head t.region ~line:(limbo_line cls) in
     if lhead <> 0 then begin
       Chaos.Plan.fire Chaos.Site.Merge_limbo;
-      Obs.Stall.enter stalls Obs.Stall.Limbo_merge
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+      Obs.Stall.enter stalls Obs.Stall.Limbo_merge;
       (match
          if t.limbo_tails.(cls) <> 0 then Ok t.limbo_tails.(cls)
          else
@@ -139,7 +144,6 @@ let merge_limbo t () =
           set_meta_head t ~line:(limbo_line cls) 0
       | Error e -> quarantine_chain t ~line:(limbo_line cls) e);
       Obs.Stall.exit stalls
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
     end;
     t.limbo_tails.(cls) <- 0
   done
@@ -157,6 +161,7 @@ let make region em =
     freelist_allocs = 0;
     bump_allocs = 0;
     quarantined = 0;
+    hdr = Chunk_header.view ();
     c_quarantined =
       Obs.Registry.counter (Nvm.Region.metrics region)
         "alloc.quarantined_chains";
@@ -211,19 +216,18 @@ let alloc ?(aligned = false) t ~size =
     (* Bump slow path: carving and initializing a fresh chunk header is
        first-touch logged, markedly slower than the freelist pop. *)
     let stalls = Nvm.Region.stalls t.region in
-    Obs.Stall.enter stalls Obs.Stall.Alloc_slow
-      ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+    Obs.Stall.enter stalls Obs.Stall.Alloc_slow;
     set_meta_head t ~line:bump_line (bump + sz);
     Chunk_header.init t.region ~chunk:bump ~epoch:(current t) ~cls;
     t.bump_allocs <- t.bump_allocs + 1;
-    Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+    Obs.Stall.exit stalls;
     Size_class.payload_of_chunk ~chunk:bump ~aligned
   end
 
 let dealloc t payload =
   let chunk = Size_class.chunk_of_payload payload in
   recover_chunk t chunk;
-  let d = Chunk_header.read t.region ~chunk in
+  let d = read_header t chunk in
   let cls = d.Chunk_header.size_class in
   if cls < 0 || cls >= Size_class.count then
     invalid_arg "Durable.dealloc: not an allocator chunk";
@@ -236,7 +240,7 @@ let dealloc t payload =
 
 let payload_capacity_of t payload =
   let chunk = Size_class.chunk_of_payload payload in
-  let d = Chunk_header.read t.region ~chunk in
+  let d = read_header t chunk in
   Size_class.payload_capacity ~cls:d.Chunk_header.size_class
     ~aligned:(payload land 63 = 0)
 
@@ -283,7 +287,7 @@ let limbo_count t ~cls = count_chain t (Meta_line.head t.region ~line:(limbo_lin
 let check_chains t =
   for cls = 0 to Size_class.count - 1 do
     let check c =
-      let d = Chunk_header.read t.region ~chunk:c in
+      let d = read_header t c in
       if d.Chunk_header.size_class <> cls then
         failwith
           (Printf.sprintf
@@ -329,7 +333,7 @@ let validate t =
                        "chunk %d also reachable from the %s chain of class %d"
                        c okind ocls)
               | None -> Hashtbl.add owner c (cls, kind));
-              let d = Chunk_header.read t.region ~chunk:c in
+              let d = read_header t c in
               if d.Chunk_header.size_class <> cls then
                 err
                   (Printf.sprintf

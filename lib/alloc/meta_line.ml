@@ -1,29 +1,27 @@
 let init region ~line ~head ~epoch =
-  Nvm.Region.write_i64 region line (Int64.of_int head);
-  Nvm.Region.write_i64 region (line + 8) (Int64.of_int head);
-  Nvm.Region.write_i64 region (line + 16) (Int64.of_int epoch)
+  Nvm.Region.write_int region line head;
+  Nvm.Region.write_int region (line + 8) head;
+  Nvm.Region.write_int region (line + 16) epoch
 
-let head region ~line = Int64.to_int (Nvm.Region.read_i64 region line)
-
-let line_epoch region line =
-  Int64.to_int (Nvm.Region.read_i64 region (line + 16))
+let head region ~line = Nvm.Region.read_int region line
+let line_epoch region line = Nvm.Region.read_int region (line + 16)
 
 let touch region ~line ~epoch =
   if line_epoch region line <> epoch then begin
-    let current = Nvm.Region.read_i64 region line in
+    let current = Nvm.Region.read_int region line in
     (* Undo copy strictly before the epoch tag (same line => PCSO order). *)
-    Nvm.Region.write_i64 region (line + 8) current;
-    Nvm.Region.write_i64 region (line + 16) (Int64.of_int epoch);
+    Nvm.Region.write_int region (line + 8) current;
+    Nvm.Region.write_int region (line + 16) epoch;
     Nvm.Region.release_fence region
   end
 
-let set_head region ~line v = Nvm.Region.write_i64 region line (Int64.of_int v)
+let set_head region ~line v = Nvm.Region.write_int region line v
 
 let recover region ~line ~is_failed ~marker =
   if is_failed (line_epoch region line) then begin
-    let saved = Nvm.Region.read_i64 region (line + 8) in
+    let saved = Nvm.Region.read_int region (line + 8) in
     (* Restore before re-stamping, so a crash mid-recovery retries. *)
-    Nvm.Region.write_i64 region line saved;
-    Nvm.Region.write_i64 region (line + 16) (Int64.of_int marker);
+    Nvm.Region.write_int region line saved;
+    Nvm.Region.write_int region (line + 16) marker;
     Nvm.Region.release_fence region
   end

@@ -14,15 +14,16 @@ let chunk_size i =
   if i < 0 || i >= count then invalid_arg "Size_class.chunk_size";
   sizes.(i)
 
+(* Smallest class holding [total] bytes; a loop rather than a local
+   closure, since every allocation calls it. *)
 let find_class total =
-  let rec find i =
-    if i >= count then
-      invalid_arg
-        (Printf.sprintf "Size_class: %d-byte chunk too large" total)
-    else if sizes.(i) >= total then i
-    else find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < count && sizes.(!i) < total do
+    incr i
+  done;
+  if !i >= count then
+    invalid_arg (Printf.sprintf "Size_class: %d-byte chunk too large" total);
+  !i
 
 let class_of_payload payload =
   if payload < 0 then invalid_arg "Size_class.class_of_payload";

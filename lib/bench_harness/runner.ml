@@ -128,6 +128,11 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
   let arrivals = enc.arrivals in
   let open_loop = Array.length arrivals > 0 in
   let base_ns = Nvm.Stats.sim_ns stats in
+  (* The per-op timestamps read the clock field itself and the latency is
+     recorded as elapsed time since [start]: floats passed across modules
+     are boxed, and this loop should cost the store, not the harness. *)
+  let clock = stats.Nvm.Stats.clock in
+  let start = Obs.Clock.create () in
   let spikes = ref [] in
   (* Start of the shard's current busy period: the last instant it was
      caught up with the arrival schedule. An open-loop op that queues
@@ -141,7 +146,7 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
     let stop = min n (!pos + chunk) in
     let t0 = Unix.gettimeofday () in
     for i = !pos to stop - 1 do
-      let t_disp = Nvm.Stats.sim_ns stats in
+      let t_disp = clock.Nvm.Stats.ns in
       let t_start =
         if open_loop then begin
           let a = base_ns +. Array.unsafe_get arrivals i in
@@ -171,9 +176,10 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
                ~n:(Array.unsafe_get scan_ns i)
               : (string * string) list));
       let w1 = Unix.gettimeofday () in
-      let t_end = Nvm.Stats.sim_ns stats in
+      let t_end = clock.Nvm.Stats.ns in
       let lat = t_end -. t_start in
-      Obs.Histogram.record h_lat lat;
+      start.Obs.Clock.ns <- t_start;
+      Obs.Histogram.record_elapsed h_lat ~since:start clock;
       Obs.Histogram.record h_wall ((w1 -. w0) *. 1e9);
       if lat > threshold then begin
         incr c_over;
@@ -332,20 +338,23 @@ let measure
         Incll.System.nodes_logged (Store.Sharded.shard store i))
   in
   let wall0 = Unix.gettimeofday () in
-  (* [Gc.allocated_bytes] counts the calling domain only, so each worker
-     measures its own window. *)
+  (* Minor-heap words, counted per domain, so each worker measures its
+     own window. Not [Gc.allocated_bytes]: its promoted-word correction
+     depends on when the domains' stop-the-world minor collections land,
+     which made the figure vary from run to run. *)
   let shard_results =
     in_domains
       (Array.init threads (fun i ->
            let sys = Store.Sharded.shard store i in
            let enc = shard_ops.(i) in
            fun () ->
-             let a0 = Gc.allocated_bytes () in
+             let a0 = Gc.minor_words () in
              let spikes =
                run_encoded sys ~shard:i enc ~chunk
                  ~threshold:latency_threshold_ns
              in
-             (spikes, Gc.allocated_bytes () -. a0)))
+             let words = Gc.minor_words () -. a0 in
+             (spikes, words *. float_of_int (Sys.word_size / 8))))
   in
   let wall1 = Unix.gettimeofday () in
   let shard_spikes = Array.map fst shard_results in

@@ -31,8 +31,10 @@ type result = {
   mops_sim : float;
   mops_wall : float;
   alloc_bytes : float;
-      (** Bytes allocated on the OCaml heap during the measured phase,
-          summed over the worker domains (each measures its own share). *)
+      (** Bytes allocated on the OCaml minor heap during the measured
+          phase, summed over the worker domains (each measures its own
+          share). Deterministic for a seeded stream; blocks too large for
+          the minor heap (over 256 words) are not counted. *)
   nodes_logged : int;  (** External-log appends during the measured phase. *)
   sfences : int;
   clwbs : int;

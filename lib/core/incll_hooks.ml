@@ -12,11 +12,10 @@ module V = Masstree.Val_incll
 let stamp_logged ctx leaf =
   let region = ctx.Ctx.region in
   let g = Ctx.current ctx in
-  L.set_epoch_word region leaf
-    { EW.epoch = g; ins_allowed = true; logged = true };
-  let inv = V.invalid ~low_epoch:(Ctx.lower16 g) in
-  L.set_incll_by_index region leaf ~which:0 inv;
-  L.set_incll_by_index region leaf ~which:1 inv;
+  L.set_epoch_word region leaf (EW.make ~epoch:g ~ins_allowed:true ~logged:true);
+  let low_epoch = Ctx.lower16 g in
+  L.set_incll region leaf ~which:0 ~low_epoch ~low:V.invalid;
+  L.set_incll region leaf ~which:1 ~low_epoch ~low:V.invalid;
   Nvm.Region.release_fence region
 
 let log_leaf ctx leaf =
@@ -24,14 +23,14 @@ let log_leaf ctx leaf =
   stamp_logged ctx leaf
 
 (* The first-touch body of Listing 3: make the node recoverable for this
-   epoch. [vc] builds the two value-InCLL words given the epoch's low bits
-   (invalid words for inserts/removes; the pre-image of the updated slot
-   for updates). *)
-let first_touch ctx leaf ~vc =
+   epoch. An update ([slot >= 0]) logs the pre-image of that slot in its
+   line's value InCLL and leaves the other one invalid; inserts and
+   removes ([slot = -1]) invalidate both. *)
+let first_touch ctx leaf ~slot =
   let region = ctx.Ctx.region in
   let g = Ctx.current ctx in
   let ew = L.epoch_word region leaf in
-  if Ctx.higher g <> Ctx.higher ew.EW.epoch then begin
+  if Ctx.higher g <> Ctx.higher (EW.epoch ew) then begin
     (* 16 bits cannot encode the epoch distance for the value InCLLs:
        fall back on the external log (§4.1.3; ~once an hour). *)
     ctx.Ctx.counters.Ctx.ext_fallback_epoch <-
@@ -40,31 +39,33 @@ let first_touch ctx leaf ~vc =
     log_leaf ctx leaf
   end
   else begin
-    let low = Ctx.lower16 g in
-    let vc1, vc2 = vc ~low_epoch:low in
+    let low_epoch = Ctx.lower16 g in
+    let mine =
+      if slot < 0 then V.invalid
+      else V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot
+    in
+    let mine_which = if slot < 0 then -1 else L.incll_which slot in
     (* Undo copies first, nodeEpoch second: all in program order, and
        permutationInCLL/nodeEpoch share a cache line, so PCSO turns this
        order into the recovery invariant of §4.1.2. *)
     L.set_perm_incll region leaf (L.perm region leaf);
-    L.set_incll_by_index region leaf ~which:0 vc1;
-    L.set_incll_by_index region leaf ~which:1 vc2;
+    L.set_incll region leaf ~which:0 ~low_epoch
+      ~low:(if mine_which = 0 then mine else V.invalid);
+    L.set_incll region leaf ~which:1 ~low_epoch
+      ~low:(if mine_which = 1 then mine else V.invalid);
     Nvm.Region.release_fence region;
     L.set_epoch_word region leaf
-      { EW.epoch = g; ins_allowed = true; logged = false };
+      (EW.make ~epoch:g ~ins_allowed:true ~logged:false);
     ctx.Ctx.counters.Ctx.first_touches <-
       ctx.Ctx.counters.Ctx.first_touches + 1;
     Ctx.note_first_touch ctx ~leaf
   end
 
-let invalid_pair ~low_epoch =
-  let inv = V.invalid ~low_epoch in
-  (inv, inv)
-
 let pre_insert ctx ~leaf =
   let region = ctx.Ctx.region in
   let ew = L.epoch_word region leaf in
-  if ew.EW.epoch <> Ctx.current ctx then first_touch ctx leaf ~vc:invalid_pair
-  else if (not ew.EW.logged) && not ew.EW.ins_allowed then begin
+  if EW.epoch ew <> Ctx.current ctx then first_touch ctx leaf ~slot:(-1)
+  else if (not (EW.logged ew)) && not (EW.ins_allowed ew) then begin
     (* A slot freed by a same-epoch delete could be re-populated,
        destroying the key/value pair a rollback must restore (§4.1.1). *)
     ctx.Ctx.counters.Ctx.ext_fallback_mixed <-
@@ -76,20 +77,19 @@ let pre_insert ctx ~leaf =
 let pre_remove ctx ~leaf =
   let region = ctx.Ctx.region in
   let ew = L.epoch_word region leaf in
-  if ew.EW.epoch <> Ctx.current ctx then first_touch ctx leaf ~vc:invalid_pair;
+  if EW.epoch ew <> Ctx.current ctx then first_touch ctx leaf ~slot:(-1);
   (* Deletes always fit in InCLLp, but they forbid later same-epoch
      inserts (Listing 3's remove sets InsAllowed=false). The flag is
      semantically transient (§4.1.2). *)
   let ew = L.epoch_word region leaf in
-  if ew.EW.ins_allowed then
-    L.set_epoch_word region leaf { ew with EW.ins_allowed = false }
+  if EW.ins_allowed ew then L.set_epoch_word region leaf (EW.forbid_inserts ew)
 
 let pre_update ctx ~val_incll ~leaf ~slot =
   let region = ctx.Ctx.region in
   if not val_incll then begin
     (* Ablation: InCLLp only — updates always use the external log. *)
     let ew = L.epoch_word region leaf in
-    if not (ew.EW.logged && ew.EW.epoch = Ctx.current ctx) then begin
+    if not (EW.logged ew && EW.epoch ew = Ctx.current ctx) then begin
       ctx.Ctx.counters.Ctx.ext_fallback_update <-
         ctx.Ctx.counters.Ctx.ext_fallback_update + 1;
       Ctx.note_fallback ctx ~leaf;
@@ -99,45 +99,37 @@ let pre_update ctx ~val_incll ~leaf ~slot =
   else begin
     let g = Ctx.current ctx in
     let ew = L.epoch_word region leaf in
-    if ew.EW.epoch <> g then begin
+    if EW.epoch ew <> g then begin
       (* First touch: log the pre-image of this slot in its line's InCLL
          and leave the other line's InCLL invalid (Listing 3's update). *)
-      let vc ~low_epoch =
-        let mine =
-          V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot ~low_epoch
-        in
-        let inv = V.invalid ~low_epoch in
-        if slot <= 6 then (mine, inv) else (inv, mine)
-      in
-      first_touch ctx leaf ~vc;
+      first_touch ctx leaf ~slot;
       (* first_touch may have chosen the external log instead; only count
          an InCLL use when it did not. *)
-      if not (L.epoch_word region leaf).EW.logged then begin
+      if not (EW.logged (L.epoch_word region leaf)) then begin
         ctx.Ctx.counters.Ctx.val_incll_uses <-
           ctx.Ctx.counters.Ctx.val_incll_uses + 1;
         Ctx.note_incll_hit ctx
       end
     end
-    else if ew.EW.logged then ()
+    else if EW.logged ew then ()
     else begin
-      let which = if slot <= 6 then 0 else 1 in
-      let d = V.unpack (L.incll_by_index region leaf ~which) in
-      if d.V.idx = slot then
+      let which = L.incll_which slot in
+      let idx = V.idx (L.incll region leaf ~which) in
+      if idx = slot then
         (* The epoch-start value of this slot is already logged; further
            overwrites need nothing (valuable under skew, §4.1.3). *)
         (ctx.Ctx.counters.Ctx.val_incll_hits <-
            ctx.Ctx.counters.Ctx.val_incll_hits + 1;
          Ctx.note_incll_hit ctx)
-      else if d.V.idx = V.invalid_idx then begin
+      else if idx = V.invalid_idx then begin
         (* This line's InCLL is still free this epoch: claim it. Same
            cache line as the value slot, so no fence is needed before the
            overwrite. Note: Listing 3's same-epoch arm omits this store
            and would lose the pre-image; §4.1.3's prose ("it is still
            possible to use the unused InCLL") requires it, so we follow
            the prose. *)
-        L.set_incll_by_index region leaf ~which
-          (V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot
-             ~low_epoch:(Ctx.lower16 g));
+        L.set_incll region leaf ~which ~low_epoch:(Ctx.lower16 g)
+          ~low:(V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot);
         Nvm.Region.release_fence region;
         ctx.Ctx.counters.Ctx.val_incll_uses <-
           ctx.Ctx.counters.Ctx.val_incll_uses + 1;
@@ -163,13 +155,9 @@ let pre_structural ctx nodes =
     let e0 = Ctx.current ctx in
     let log_one (addr, size) =
       if addr = Nvm.Layout.off_root then begin
-        if
-          Int64.to_int (Nvm.Region.read_i64 region Nvm.Layout.off_root_meta)
-          <> e0
-        then begin
+        if Nvm.Region.read_int region Nvm.Layout.off_root_meta <> e0 then begin
           Ctx.log_node ctx ~addr ~size;
-          Nvm.Region.write_i64 region Nvm.Layout.off_root_meta
-            (Int64.of_int e0);
+          Nvm.Region.write_int region Nvm.Layout.off_root_meta e0;
           ctx.Ctx.counters.Ctx.ext_structural <-
             ctx.Ctx.counters.Ctx.ext_structural + 1;
           Ctx.note_fallback ctx ~leaf:addr
@@ -184,7 +172,7 @@ let pre_structural ctx nodes =
            lazy recovery forever. *)
         Recovery.lazy_leaf_recovery ctx ~leaf:addr;
         let ew = L.epoch_word region addr in
-        if not (ew.EW.logged && ew.EW.epoch = e0) then begin
+        if not (EW.logged ew && EW.epoch ew = e0) then begin
           Ctx.log_node ctx ~addr ~size:L.node_bytes;
           stamp_logged ctx addr;
           ctx.Ctx.counters.Ctx.ext_structural <-

@@ -6,11 +6,11 @@ let log_leaf_if_needed ctx leaf =
   let region = ctx.Ctx.region in
   let g = Ctx.current ctx in
   let ew = L.epoch_word region leaf in
-  if not (ew.EW.logged && ew.EW.epoch = g) then begin
+  if not (EW.logged ew && EW.epoch ew = g) then begin
     Ctx.log_node ctx ~addr:leaf ~size:L.node_bytes;
     (* Re-read the epoch: a full-log retry may have advanced it. *)
     L.set_epoch_word region leaf
-      { EW.epoch = Ctx.current ctx; ins_allowed = true; logged = true }
+      (EW.make ~epoch:(Ctx.current ctx) ~ins_allowed:true ~logged:true)
   end
 
 let pre_structural ctx nodes =
@@ -19,13 +19,9 @@ let pre_structural ctx nodes =
     let e0 = Ctx.current ctx in
     let log_one (addr, size) =
       if addr = Nvm.Layout.off_root then begin
-        if
-          Int64.to_int (Nvm.Region.read_i64 region Nvm.Layout.off_root_meta)
-          <> e0
-        then begin
+        if Nvm.Region.read_int region Nvm.Layout.off_root_meta <> e0 then begin
           Ctx.log_node ctx ~addr ~size;
-          Nvm.Region.write_i64 region Nvm.Layout.off_root_meta
-            (Int64.of_int e0)
+          Nvm.Region.write_int region Nvm.Layout.off_root_meta e0
         end
       end
       else if L.is_leaf_node region addr then log_leaf_if_needed ctx addr

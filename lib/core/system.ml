@@ -317,7 +317,7 @@ let recover_region ?txn_probe ~variant ~config region =
      scope swallows the nested epoch-open fences, replay appends and the
      final checkpoint so post-crash downtime reads as a single entry. *)
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Recovery ~now:sim0;
+  Obs.Stall.enter stalls Obs.Stall.Recovery;
   let phases = ref [] in
   let last_mark = ref sim0 in
   let phase name f =
@@ -409,7 +409,7 @@ let recover_region ?txn_probe ~variant ~config region =
   (* Execution resumes in a fresh epoch; the checkpoint persists all
      recovery writes and truncates the log. *)
   phase "recover.checkpoint" (fun () -> Epoch.Manager.advance em);
-  Obs.Stall.exit stalls ~now:(sim_now ());
+  Obs.Stall.exit stalls;
   ignore (Obs.Span.end_ spans "recover" : float);
   let wall1 = Unix.gettimeofday () in
   let sim1 = sim_now () in

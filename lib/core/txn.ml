@@ -125,7 +125,7 @@ let commit_bytes ~participants =
 (* {1 The durable watermark} *)
 
 let watermark region =
-  Int64.to_int (Nvm.Region.read_i64 region Nvm.Layout.off_txn_watermark)
+  Nvm.Region.read_int region Nvm.Layout.off_txn_watermark
 
 (* The commit point: one store-atomic word, flushed and fenced. The
    watermark is outside every node, so neither the undo replay nor the
@@ -133,13 +133,11 @@ let watermark region =
 let advance_watermark region ~txn_id =
   Chaos.Plan.fire Chaos.Site.Txn_commit_record;
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Txn_fence
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
-  Nvm.Region.write_i64 region Nvm.Layout.off_txn_watermark
-    (Int64.of_int txn_id);
+  Obs.Stall.enter stalls Obs.Stall.Txn_fence;
+  Nvm.Region.write_int region Nvm.Layout.off_txn_watermark txn_id;
   Nvm.Region.clwb region Nvm.Layout.off_txn_watermark;
   Nvm.Region.sfence region;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region))
+  Obs.Stall.exit stalls
 
 (* {1 Commit-window log appends} *)
 
@@ -151,22 +149,19 @@ let advance_watermark region ~txn_id =
 let wrap_advance ctx =
   let region = ctx.Ctx.region in
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   Epoch.Manager.advance ctx.Ctx.em;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region))
+  Obs.Stall.exit stalls
 
 (* Txn-fence scope around a protocol step: swallows the nested extlog
    append / watermark fence so the whole step is one attributed stall. *)
 let txn_scope ctx f =
   let region = ctx.Ctx.region in
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Txn_fence
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
+  Obs.Stall.enter stalls Obs.Stall.Txn_fence;
   Fun.protect
     ~finally:(fun () ->
-      Obs.Stall.exit stalls
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region)))
+      Obs.Stall.exit stalls)
     f
 
 let reserve ctx ~bytes =

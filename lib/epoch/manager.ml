@@ -49,12 +49,12 @@ let subscribe_post_advance t f = t.subscribers <- f :: t.subscribers
 let run_subscribers t = List.iter (fun f -> f ()) (List.rev t.subscribers)
 
 let write_durable_epoch t e =
-  Nvm.Region.write_i64 t.region Nvm.Layout.off_durable_epoch (Int64.of_int e);
+  Nvm.Region.write_int t.region Nvm.Layout.off_durable_epoch e;
   Nvm.Region.clwb t.region Nvm.Layout.off_durable_epoch;
   Nvm.Region.sfence t.region
 
 let read_durable_epoch region =
-  Int64.to_int (Nvm.Region.read_i64 region Nvm.Layout.off_durable_epoch)
+  Nvm.Region.read_int region Nvm.Layout.off_durable_epoch
 
 (* Each durable slot packs a range of consecutive failed epochs as
    [lo * 2^16 + (hi - lo)]: repeated crash-during-recovery produces
@@ -64,21 +64,20 @@ let span_capacity = 0xffff
 
 let encode_range ~lo ~hi =
   if hi < lo || hi - lo > span_capacity then invalid_arg "encode_range";
-  Int64.of_int ((lo lsl 16) lor (hi - lo))
+  (lo lsl 16) lor (hi - lo)
 
 let decode_range v =
-  let v = Int64.to_int v in
   let lo = v lsr 16 in
   (lo, lo + (v land 0xffff))
 
 let write_slot t i v =
   let slot = Nvm.Layout.failed_epoch_slot i in
-  Nvm.Region.write_i64 t.region slot v;
+  Nvm.Region.write_int t.region slot v;
   Nvm.Region.clwb t.region slot;
   Nvm.Region.sfence t.region
 
 let write_count t n =
-  Nvm.Region.write_i64 t.region Nvm.Layout.off_failed_count (Int64.of_int n);
+  Nvm.Region.write_int t.region Nvm.Layout.off_failed_count n;
   Nvm.Region.clwb t.region Nvm.Layout.off_failed_count;
   Nvm.Region.sfence t.region
 
@@ -90,14 +89,12 @@ let add_range_volatile t (lo, hi) =
 let load_failed_set t =
   Hashtbl.reset t.failed;
   t.ranges <- [];
-  let n =
-    Int64.to_int (Nvm.Region.read_i64 t.region Nvm.Layout.off_failed_count)
-  in
+  let n = Nvm.Region.read_int t.region Nvm.Layout.off_failed_count in
   if n < 0 || n > Nvm.Layout.max_failed_epochs then
     failwith "Manager: corrupt failed-epoch count";
   for i = 0 to n - 1 do
     let r =
-      decode_range (Nvm.Region.read_i64 t.region (Nvm.Layout.failed_epoch_slot i))
+      decode_range (Nvm.Region.read_int t.region (Nvm.Layout.failed_epoch_slot i))
     in
     t.ranges <- t.ranges @ [ r ];
     add_range_volatile t r
@@ -105,12 +102,10 @@ let load_failed_set t =
 
 let failed_slots t = List.length t.ranges
 
-let sweep_floor t =
-  Int64.to_int (Nvm.Region.read_i64 t.region Nvm.Layout.off_sweep_floor)
+let sweep_floor t = Nvm.Region.read_int t.region Nvm.Layout.off_sweep_floor
 
 let note_swept t ~floor =
-  Nvm.Region.write_i64 t.region Nvm.Layout.off_sweep_floor
-    (Int64.of_int floor);
+  Nvm.Region.write_int t.region Nvm.Layout.off_sweep_floor floor;
   Nvm.Region.clwb t.region Nvm.Layout.off_sweep_floor;
   Nvm.Region.sfence t.region
 
@@ -165,7 +160,7 @@ let append_failed t e =
   end
 
 let clear_failed t =
-  Nvm.Region.write_i64 t.region Nvm.Layout.off_failed_count 0L;
+  Nvm.Region.write_int t.region Nvm.Layout.off_failed_count 0;
   Nvm.Region.clwb t.region Nvm.Layout.off_failed_count;
   Nvm.Region.sfence t.region;
   Hashtbl.reset t.failed;
@@ -334,8 +329,7 @@ let finalize t =
      Under the incremental sweep only the final drain remainder (usually
      zero lines) and the epoch-word fence land here — the bulk of the
      flush was already attributed to [clwb_sweep] quanta. *)
-  Obs.Stall.enter stalls Obs.Stall.Epoch_advance
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.enter stalls Obs.Stall.Epoch_advance;
   if t.sweep_budget > 0 then begin
     while Nvm.Region.dirty_line_count t.region > 0 do
       ignore (Nvm.Region.flush_some t.region ~budget_lines:t.sweep_budget : int)
@@ -351,7 +345,7 @@ let finalize t =
   end
   else Nvm.Region.wbinvd t.region;
   write_durable_epoch t (t.current + 1);
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.exit stalls;
   ignore (Obs.Span.end_ (Nvm.Region.spans t.region) "checkpoint" : float);
   t.sweeping <- false;
   t.current <- t.current + 1;
@@ -384,7 +378,9 @@ let sweeping t = t.sweeping
 let set_log_pressure t f = t.log_pressure <- f
 
 let maybe_advance t =
-  let now = Nvm.Stats.sim_ns (Nvm.Region.stats t.region) in
+  (* The clock field itself, not [Nvm.Stats.sim_ns]: a float returned
+     from another module is boxed, and this runs after every op. *)
+  let now = (Nvm.Region.stats t.region).Nvm.Stats.clock.Nvm.Stats.ns in
   if t.sweeping then
     (* Convergence guard: ops keep dirtying lines while the sweep runs;
        the budget normally outpaces them, but if a sweep somehow lingers

@@ -1,6 +1,9 @@
 exception Log_full
 
-let entry_magic = 0xE10C_11E0_1234_5678L
+(* The entry magic 0xE10C_11E0_1234_5678, as a split word (its top 16
+   bits and its low 48). *)
+let magic_top = 0xE10C
+let magic_low = 0x11E0_1234_5678
 let header_bytes = 48
 
 (* Entry kinds. [Node] entries are the §4.2 undo images replay copies
@@ -22,6 +25,9 @@ let kind_session = 3
    overwrite. *)
 let log_header_bytes = 64
 
+(* Payload words [checksum] loads per region call: a node image is 48. *)
+let checksum_window = 64
+
 type t = {
   region : Nvm.Region.t;
   off : int;  (* first byte of the log slice *)
@@ -29,6 +35,9 @@ type t = {
   mutable tail : int;  (* transient append cursor, relative to [off] *)
   mutable nodes_logged : int;
   mutable bytes_logged : int;
+  mutable sum_top : int;  (* the last [checksum], as a split word *)
+  mutable sum_low : int;
+  words : Bytes.t;  (* [checksum]'s window onto the payload *)
   c_appends : int ref;  (* "extlog.appends" registry counter *)
   c_replayed : int ref;  (* "extlog.replayed" registry counter *)
   h_append_bytes : Obs.Histogram.t;  (* payload size per append *)
@@ -45,6 +54,9 @@ let attach region =
     tail = 0;
     nodes_logged = 0;
     bytes_logged = 0;
+    sum_top = 0;
+    sum_low = 0;
+    words = Bytes.create (8 * checksum_window);
     c_appends = Obs.Registry.counter m "extlog.appends";
     c_replayed = Obs.Registry.counter m "extlog.replayed";
     h_append_bytes = Obs.Registry.histogram m "extlog.append_bytes";
@@ -56,8 +68,7 @@ let used t = t.tail
 let nodes_logged t = t.nodes_logged
 let bytes_logged t = t.bytes_logged
 
-let truncation_epoch t =
-  Int64.to_int (Nvm.Region.read_i64 t.region Nvm.Layout.extlog_off)
+let truncation_epoch t = Nvm.Region.read_int t.region Nvm.Layout.extlog_off
 
 (* Durable: the truncation epoch must be persisted before this epoch's
    entries are appended (one extra fence per checkpoint). *)
@@ -67,40 +78,55 @@ let truncate t ~epoch =
   let now = Nvm.Stats.sim_ns (Nvm.Region.stats t.region) in
   Obs.Series.sample t.s_used ~ts_ns:now ~value:(float_of_int t.tail);
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog ~now;
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   t.tail <- 0;
-  Nvm.Region.write_i64 t.region Nvm.Layout.extlog_off (Int64.of_int epoch);
+  Nvm.Region.write_int t.region Nvm.Layout.extlog_off epoch;
   Nvm.Region.clwb t.region Nvm.Layout.extlog_off;
   Nvm.Region.sfence t.region;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Checksum: xor of the payload words folded with the header fields, so a
-   torn entry (header persisted, payload not, or vice versa) is detected. *)
-let checksum region ~payload_off ~size ~kind ~epoch ~addr =
+   torn entry (header persisted, payload not, or vice versa) is detected.
+   The payload is loaded [checksum_window] words at a time, charged word
+   by word like [read_i64], and the sum lands in [t.sum_top] /
+   [t.sum_low]: the [Int64] accumulator never leaves this function, so it
+   stays unboxed and a checksum allocates nothing. *)
+let checksum t ~payload_off ~size ~kind ~epoch ~addr =
   let acc = ref (Int64.of_int (epoch lxor (kind * 0x51ed))) in
   acc := Int64.logxor !acc (Int64.mul (Int64.of_int addr) 0x9E3779B97F4A7C15L);
   acc := Int64.logxor !acc (Int64.of_int size);
-  for i = 0 to (size / 8) - 1 do
-    let w = Nvm.Region.read_i64 region (payload_off + (8 * i)) in
-    (* Mix the position in so swapped words change the sum. *)
-    acc :=
-      Int64.logxor !acc
-        (Int64.mul (Int64.add w (Int64.of_int (i + 1))) 0xC4CEB9FE1A85EC53L)
+  let words = size / 8 in
+  let i = ref 0 in
+  while !i < words do
+    let n = min checksum_window (words - !i) in
+    Nvm.Region.load_words t.region (payload_off + (8 * !i)) t.words ~pos:0
+      ~words:n;
+    for j = 0 to n - 1 do
+      let w = Bytes.get_int64_le t.words (8 * j) in
+      (* Mix the position in so swapped words change the sum. *)
+      acc :=
+        Int64.logxor !acc
+          (Int64.mul
+             (Int64.add w (Int64.of_int (!i + j + 1)))
+             0xC4CEB9FE1A85EC53L)
+    done;
+    i := !i + n
   done;
-  !acc
+  t.sum_top <- Int64.to_int (Int64.shift_right_logical !acc 48);
+  t.sum_low <- Int64.to_int !acc land 0xffff_ffff_ffff
 
 (* Shared tail-append: the payload writer has already placed [size] bytes
    at [entry + header_bytes]; seal the entry (header + checksum), write
    back every line, fence once. *)
 let seal_entry t ~entry ~kind ~epoch ~addr ~size =
   let payload_off = entry + header_bytes in
-  Nvm.Region.write_i64 t.region (entry + 8) (Int64.of_int kind);
-  Nvm.Region.write_i64 t.region (entry + 16) (Int64.of_int epoch);
-  Nvm.Region.write_i64 t.region (entry + 24) (Int64.of_int addr);
-  Nvm.Region.write_i64 t.region (entry + 32) (Int64.of_int size);
-  Nvm.Region.write_i64 t.region (entry + 40)
-    (checksum t.region ~payload_off ~size ~kind ~epoch ~addr);
-  Nvm.Region.write_i64 t.region entry entry_magic;
+  Nvm.Region.write_int t.region (entry + 8) kind;
+  Nvm.Region.write_int t.region (entry + 16) epoch;
+  Nvm.Region.write_int t.region (entry + 24) addr;
+  Nvm.Region.write_int t.region (entry + 32) size;
+  checksum t ~payload_off ~size ~kind ~epoch ~addr;
+  Nvm.Region.write_split t.region (entry + 40) ~top:t.sum_top ~low:t.sum_low;
+  Nvm.Region.write_split t.region entry ~top:magic_top ~low:magic_low;
   (* Write back every line of the entry, then one fence. *)
   let total = header_bytes + size in
   let first_line = entry land lnot (Nvm.Config.line_size - 1) in
@@ -114,8 +140,9 @@ let seal_entry t ~entry ~kind ~epoch ~addr ~size =
   t.tail <- t.tail + total;
   t.bytes_logged <- t.bytes_logged + size;
   incr t.c_appends;
-  Obs.Histogram.record t.h_append_bytes (float_of_int size);
-  Nvm.Region.trace_event t.region (Obs.Trace.Extlog_append { bytes = size })
+  Obs.Histogram.record_int t.h_append_bytes size;
+  if Nvm.Region.tracing t.region then
+    Nvm.Region.trace_event t.region (Obs.Trace.Extlog_append { bytes = size })
 
 let append t ~epoch ~addr ~size =
   if size <= 0 || size land 7 <> 0 then
@@ -124,8 +151,7 @@ let append t ~epoch ~addr ~size =
   let total = header_bytes + size in
   if t.tail + total > t.len then raise Log_full;
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   let entry = t.off + t.tail in
   (* Payload first, then the header that makes the entry meaningful; the
      checksum validates the pair, so one fence suffices. *)
@@ -133,7 +159,7 @@ let append t ~epoch ~addr ~size =
     ~len:size;
   seal_entry t ~entry ~kind:kind_node ~epoch ~addr ~size;
   t.nodes_logged <- t.nodes_logged + 1;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Size an [append_record] call will consume, so a commit sequence can
    reserve headroom up front and never hit [Log_full] mid-protocol. *)
@@ -155,8 +181,7 @@ let append_record t ~kind ~epoch ~txn_id ~payload =
   let total = header_bytes + size in
   if t.tail + total > t.len then raise Log_full;
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   let entry = t.off + t.tail in
   let padded =
     if size = String.length payload then payload
@@ -164,7 +189,7 @@ let append_record t ~kind ~epoch ~txn_id ~payload =
   in
   Nvm.Region.write_string t.region (entry + header_bytes) padded;
   seal_entry t ~entry ~kind ~epoch ~addr:txn_id ~size;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Walk the intact-entry prefix, calling [f] on each entry. *)
 let fold_entries t f =
@@ -173,13 +198,15 @@ let fold_entries t f =
     if pos + header_bytes > t.len then ()
     else begin
       let entry = t.off + pos in
-      if Nvm.Region.read_i64 t.region entry <> entry_magic then ()
+      let low = Nvm.Region.read_split t.region entry in
+      if low <> magic_low || Nvm.Region.split_top t.region <> magic_top then ()
       else begin
-        let kind = Int64.to_int (Nvm.Region.read_i64 t.region (entry + 8)) in
-        let epoch = Int64.to_int (Nvm.Region.read_i64 t.region (entry + 16)) in
-        let addr = Int64.to_int (Nvm.Region.read_i64 t.region (entry + 24)) in
-        let size = Int64.to_int (Nvm.Region.read_i64 t.region (entry + 32)) in
-        let sum = Nvm.Region.read_i64 t.region (entry + 40) in
+        let kind = Nvm.Region.read_int t.region (entry + 8) in
+        let epoch = Nvm.Region.read_int t.region (entry + 16) in
+        let addr = Nvm.Region.read_int t.region (entry + 24) in
+        let size = Nvm.Region.read_int t.region (entry + 32) in
+        let sum_low = Nvm.Region.read_split t.region (entry + 40) in
+        let sum_top = Nvm.Region.split_top t.region in
         let shape_ok =
           size > 0
           && size land 7 = 0
@@ -195,9 +222,9 @@ let fold_entries t f =
         in
         if not shape_ok then ()
         else if
-          checksum t.region ~payload_off:(entry + header_bytes) ~size ~kind
-            ~epoch ~addr
-          <> sum
+          (checksum t ~payload_off:(entry + header_bytes) ~size ~kind ~epoch
+             ~addr;
+           t.sum_top <> sum_top || t.sum_low <> sum_low)
         then ()
         else begin
           f ~kind ~epoch ~addr ~size ~payload_off:(entry + header_bytes);

@@ -34,14 +34,12 @@ let set_logged_epoch region node v =
   Nvm.Region.write_int region (node + off_logged_epoch) v
 
 let layer region node =
-  Util.Bits.get_int
-    (Nvm.Region.read_i64 region (node + off_flags))
-    ~lo:8 ~width:16
+  (Nvm.Region.read_int region (node + off_flags) lsr 8) land 0xffff
 
 let create (alloc : Alloc.Api.t) region ~layer =
   let node = alloc.Alloc.Api.alloc ~aligned:true ~size:node_bytes in
   assert (node land 63 = 0);
-  Nvm.Region.write_i64 region (node + off_version) 0L;
+  Nvm.Region.write_int region (node + off_version) 0;
   set_logged_epoch region node 0;
   (* bit 0 clear: not a leaf (shared flag position with Leaf). *)
   Nvm.Region.write_int region (node + off_flags) (layer lsl 8);
@@ -50,22 +48,18 @@ let create (alloc : Alloc.Api.t) region ~layer =
 
 let is_full region node = nkeys region node >= width
 
-let search_child region node ~slice =
-  let n = nkeys region node in
-  let shi = Int64.to_int (Int64.shift_right_logical slice 32)
-  and slo = Int64.to_int (Int64.logand slice 0xFFFF_FFFFL) in
-  (* First key strictly greater than [slice] gives the child index;
-     unboxed comparison, so the descent allocates nothing. *)
-  let rec loop lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if Nvm.Region.compare_u64 region (node + key_off mid) ~hi:shi ~lo:slo <= 0
-      then loop (mid + 1) hi
-      else loop lo mid
-    end
-  in
-  loop 0 n
+let search_child region node ~hi:shi ~lo:slo =
+  (* First key strictly greater than the slice gives the child index; an
+     unboxed comparison in a loop over local refs, so the descent
+     allocates nothing. *)
+  let lo = ref 0 and hi = ref (nkeys region node) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Nvm.Region.compare_u64 region (node + key_off mid) ~hi:shi ~lo:slo <= 0
+    then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
 
 let insert_separator region node ~at ~sep ~right =
   let n = nkeys region node in

@@ -36,8 +36,9 @@ val logged_epoch : Nvm.Region.t -> int -> int
 val set_logged_epoch : Nvm.Region.t -> int -> int -> unit
 val layer : Nvm.Region.t -> int -> int
 
-val search_child : Nvm.Region.t -> int -> slice:int64 -> int
-(** Index of the child to descend into for [slice]. *)
+val search_child : Nvm.Region.t -> int -> hi:int -> lo:int -> int
+(** Index of the child to descend into for the slice whose unsigned
+    32-bit halves are [hi] and [lo]. Allocates nothing. *)
 
 val insert_separator :
   Nvm.Region.t -> int -> at:int -> sep:int64 -> right:int -> unit

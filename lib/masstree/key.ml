@@ -1,24 +1,32 @@
-type slice = { bits : int64; len : int }
-
 let layer_link_len = 15
 let suffix_len_marker = 9
 
-let slice_at key ~layer =
-  let off = 8 * layer in
-  let klen = String.length key in
-  if off > klen then invalid_arg "Key.slice_at: layer beyond key";
-  let len = min 8 (klen - off) in
-  let bits = ref 0L in
-  for i = 0 to len - 1 do
-    bits :=
-      Int64.logor
-        (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code key.[off + i]))
-  done;
-  (* Left-align: pad the low bytes with zeros so shorter slices compare as
-     prefixes. *)
-  { bits = Int64.shift_left !bits (8 * (8 - len)); len }
+(* Byte [i] of [key], 0 past its end (zero padding). *)
+let byte key i =
+  if i < String.length key then Char.code (String.unsafe_get key i) else 0
 
+let slice_off key ~layer =
+  let off = 8 * layer in
+  if off > String.length key then invalid_arg "Key: layer beyond key";
+  off
+
+let be32 key off =
+  (byte key off lsl 24)
+  lor (byte key (off + 1) lsl 16)
+  lor (byte key (off + 2) lsl 8)
+  lor byte key (off + 3)
+
+let slice_hi key ~layer = be32 key (slice_off key ~layer)
+let slice_lo key ~layer = be32 key (slice_off key ~layer + 4)
+let slice_len key ~layer = min 8 (String.length key - slice_off key ~layer)
+
+let slice key ~layer =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (slice_hi key ~layer)) 32)
+    (Int64.of_int (slice_lo key ~layer))
+
+let hi32 s = Int64.to_int (Int64.shift_right_logical s 32)
+let lo32 s = Int64.to_int s land 0xffff_ffff
 let has_suffix key ~layer = String.length key > 8 * (layer + 1)
 
 let suffix key ~layer =
@@ -41,4 +49,4 @@ let of_int64 v = bytes_of_slice v ~len:8
 
 let to_int64 s =
   if String.length s <> 8 then invalid_arg "Key.to_int64: need 8 bytes";
-  (slice_at s ~layer:0).bits
+  slice s ~layer:0

@@ -2,18 +2,18 @@
     (§2.2).
 
     At layer [l] a key contributes a {e slice} — its bytes
-    [8l .. 8l+7] packed big-endian into an [int64] (zero-padded) — plus the
+    [8l .. 8l+7] packed big-endian into 64 bits (zero-padded) — plus the
     number of key bytes the slice actually covers. Keys that extend past a
     layer descend into the next layer with the remaining suffix.
+
+    The hot paths take a slice as its two unsigned 32-bit halves, tagged
+    ints that {!Nvm.Region.compare_u64} compares against a stored word
+    without boxing; splits, scans and validation use the [int64] form.
 
     In-leaf ordering is by [(slice unsigned, keylen)], with the
     layer-link marker sorting after every terminal length; because slices
     are big-endian and zero-padded, this coincides with lexicographic byte
     order of the full keys. *)
-
-type slice = { bits : int64; len : int }
-(** [len] is the number of key bytes in this slice (0–8); [len = 8] with
-    remaining bytes means the key continues in the next layer. *)
 
 val layer_link_len : int
 (** Sentinel keylen (15) marking a slot whose value is the next-layer
@@ -27,8 +27,22 @@ val suffix_len_marker : int
     of a suffix entry / a link entry exists per slice: a second long key
     on the same slice converts the suffix entry into a nested layer. *)
 
-val slice_at : string -> layer:int -> slice
-(** Slice of [key] at trie depth [layer] (8-byte granularity). *)
+val slice_hi : string -> layer:int -> int
+val slice_lo : string -> layer:int -> int
+(** Unsigned 32-bit halves of the slice of [key] at trie depth [layer]
+    (8-byte granularity). Allocation-free; raise [Invalid_argument] when
+    the layer lies beyond the key. *)
+
+val slice_len : string -> layer:int -> int
+(** Key bytes the slice covers (0–8); 8 with remaining bytes means the
+    key continues in the next layer. *)
+
+val slice : string -> layer:int -> int64
+(** The whole slice as an [int64]. *)
+
+val hi32 : int64 -> int
+val lo32 : int64 -> int
+(** Unsigned 32-bit halves of a slice. *)
 
 val has_suffix : string -> layer:int -> bool
 (** True when the key extends beyond this layer's 8 bytes. *)

@@ -35,10 +35,6 @@ val off_perm : int
 val key_off : int -> int
 val keylen_off : int -> int
 val val_off : int -> int
-val incll_off : int -> int
-(** The InCLL word covering value slot [i]: offset 256 for slots 0–6, 376
-    for slots 7–13. *)
-
 val incll1_off : int
 val incll2_off : int
 
@@ -48,10 +44,15 @@ val create :
     stamped with [epoch], both value InCLLs invalid. Returns the node
     address (64-byte aligned). *)
 
-(** {1 Accessors} *)
+(** {1 Accessors}
 
-val version : Nvm.Region.t -> int -> int64
-val set_version : Nvm.Region.t -> int -> int64 -> unit
+    Allocation-free, except {!key}: words whose bit 63 is always 0
+    (version, flags, permutations, pointers) go through
+    {!Nvm.Region.read_int}; the epoch word, the value InCLLs and the key
+    stores use split words ({!Nvm.Region.read_split}). *)
+
+val version : Nvm.Region.t -> int -> int
+val set_version : Nvm.Region.t -> int -> int -> unit
 val next : Nvm.Region.t -> int -> int
 val set_next : Nvm.Region.t -> int -> int -> unit
 val prev : Nvm.Region.t -> int -> int
@@ -60,36 +61,43 @@ val layer : Nvm.Region.t -> int -> int
 val is_leaf_node : Nvm.Region.t -> int -> bool
 (** Discriminate leaf from internal via the flags word (shared offset). *)
 
-val epoch_word : Nvm.Region.t -> int -> Epoch_word.decoded
-val set_epoch_word : Nvm.Region.t -> int -> Epoch_word.decoded -> unit
+val epoch_word : Nvm.Region.t -> int -> Epoch_word.t
+val set_epoch_word : Nvm.Region.t -> int -> Epoch_word.t -> unit
 val perm_incll : Nvm.Region.t -> int -> Permutation.t
 val set_perm_incll : Nvm.Region.t -> int -> Permutation.t -> unit
 val perm : Nvm.Region.t -> int -> Permutation.t
 val set_perm : Nvm.Region.t -> int -> Permutation.t -> unit
 
 val key : Nvm.Region.t -> int -> slot:int -> int64
-val set_key : Nvm.Region.t -> int -> slot:int -> int64 -> unit
+(** The slot's key slice (allocates the [int64]: splits, scans and
+    validation only). *)
+
+val set_key : Nvm.Region.t -> int -> slot:int -> hi:int -> lo:int -> unit
+(** Store the slice whose unsigned 32-bit halves are [hi] and [lo]. *)
+
 val keylen : Nvm.Region.t -> int -> slot:int -> int
 val set_keylen : Nvm.Region.t -> int -> slot:int -> int -> unit
 val value : Nvm.Region.t -> int -> slot:int -> int
 val set_value : Nvm.Region.t -> int -> slot:int -> int -> unit
 
-val incll : Nvm.Region.t -> int -> slot:int -> int64
-(** The InCLL word covering [slot]'s cache line. *)
+val incll_which : int -> int
+(** The value InCLL covering slot [i]'s cache line: 0 (InCLL1) for slots
+    0–6, 1 (InCLL2) for slots 7–13. *)
 
-val set_incll : Nvm.Region.t -> int -> slot:int -> int64 -> unit
-val incll_by_index : Nvm.Region.t -> int -> which:int -> int64
-(** [which] is 0 (InCLL1) or 1 (InCLL2). *)
+val incll : Nvm.Region.t -> int -> which:int -> int
+(** Load value InCLL [which] as a split word: returns its low 48 bits
+    (see {!Val_incll}); its 16 epoch bits are then
+    [Nvm.Region.split_top region]. *)
 
-val set_incll_by_index : Nvm.Region.t -> int -> which:int -> int64 -> unit
+val set_incll :
+  Nvm.Region.t -> int -> which:int -> low_epoch:int -> low:int -> unit
 
 (** {1 Search} *)
 
-type lookup = Found of int | Insert_before of int
-(** Rank-space result of a leaf search. *)
-
-val find : Nvm.Region.t -> int -> slice:int64 -> keylen:int -> lookup
+val find : Nvm.Region.t -> int -> hi:int -> lo:int -> keylen:int -> int
 (** Binary search over the permutation's sorted ranks by
-    [(slice, keylen)]. *)
+    [(slice, keylen)], the slice given by its unsigned 32-bit halves.
+    Returns the rank [r >= 0] of the matching entry, or [lnot r] (< 0)
+    when absent, [r] being the rank to insert it at. Allocates nothing. *)
 
 val entry_count : Nvm.Region.t -> int -> int

@@ -1,9 +1,9 @@
-type t = int64
+type t = int
 
 let width = 14
 
-let get_nibble p i = Util.Bits.get_int p ~lo:(4 * i) ~width:4
-let set_nibble p i v = Util.Bits.set_int p ~lo:(4 * i) ~width:4 v
+let get_nibble p i = (p lsr (4 * i)) land 0xf
+let set_nibble p i v = p land lnot (0xf lsl (4 * i)) lor ((v land 0xf) lsl (4 * i))
 
 let count p = get_nibble p 0
 let slot_at_rank p rank = get_nibble p (rank + 1)
@@ -12,7 +12,7 @@ let with_count p c = set_nibble p 0 c
 
 let empty =
   let rec fill p i = if i >= width then p else fill (set_rank p i i) (i + 1) in
-  fill 0L 0
+  fill 0 0
 
 let is_full p = count p >= width
 
@@ -26,8 +26,7 @@ let insert p ~rank =
   for i = c downto rank + 1 do
     p' := set_rank !p' i (slot_at_rank !p' (i - 1))
   done;
-  let p' = set_rank !p' rank slot in
-  (with_count p' (c + 1), slot)
+  with_count (set_rank !p' rank slot) (c + 1)
 
 let remove p ~rank =
   let c = count p in
@@ -38,8 +37,7 @@ let remove p ~rank =
     p' := set_rank !p' i (slot_at_rank !p' (i + 1))
   done;
   (* The freed slot becomes the first free slot (rank c-1 after shrink). *)
-  let p' = set_rank !p' (c - 1) slot in
-  (with_count p' (c - 1), slot)
+  with_count (set_rank !p' (c - 1) slot) (c - 1)
 
 let active_slots p = List.init (count p) (fun i -> slot_at_rank p i)
 

@@ -15,10 +15,13 @@
     the paper undo {e any} number of same-epoch inserts and deletes by
     restoring this one word from [permutationInCLL] (§4.1.1).
 
-    Width may be at most 15 (14 for the durable leaf, which gives one slot
-    up to the two value InCLLs). All functions are pure. *)
+    The width is 14, one below stock Masstree's 15: the durable leaf gives
+    a slot up to the two value InCLLs (§4.1). The word is a tagged [int]:
+    its 60 used bits never reach bit 63, so it is loaded and stored with
+    {!Nvm.Region.read_int} / {!Nvm.Region.write_int}. All functions are
+    pure and allocation-free. *)
 
-type t = int64
+type t = int
 
 val width : int
 (** 14, the durable leaf width (§4.1). *)
@@ -33,14 +36,14 @@ val slot_at_rank : t -> int -> int
 
 val is_full : t -> bool
 
-val insert : t -> rank:int -> t * int
-(** Activate a free slot at sorted rank [rank] (shifting later ranks);
-    returns the new permutation and the slot chosen. The permutation must
-    not be full, and [0 <= rank <= count]. *)
+val insert : t -> rank:int -> t
+(** Activate the first free slot at sorted rank [rank] (shifting later
+    ranks); the slot chosen is [slot_at_rank (insert p ~rank) rank]. The
+    permutation must not be full, and [0 <= rank <= count]. *)
 
-val remove : t -> rank:int -> t * int
-(** Deactivate the slot at rank [rank]; it becomes the first free slot.
-    Returns the new permutation and the freed slot. *)
+val remove : t -> rank:int -> t
+(** Deactivate the slot at rank [rank] ([slot_at_rank p rank]); it
+    becomes the first free slot. *)
 
 val active_slots : t -> int list
 (** Slots in sorted order (testing aid). *)

@@ -22,6 +22,10 @@ type t = {
   current_epoch : unit -> int;
   mutable root : int;  (* cached copy of the superblock root word *)
   stats : op_stats;
+  spine : Util.Ivec.t;
+      (* The write paths' descent stacks: (internal, child index) pairs,
+         root first, one frame per layer descended in the current op.
+         Emptied at the start of every put and remove. *)
 }
 
 (* Where does the current layer's root pointer live? Layer 0: the
@@ -60,10 +64,19 @@ let fresh_stats () =
 let read_root region =
   Nvm.Region.read_int region Nvm.Layout.off_root
 
+let make region alloc hooks ~current_epoch =
+  {
+    region;
+    alloc;
+    hooks;
+    current_epoch;
+    root = 0;
+    stats = fresh_stats ();
+    spine = Util.Ivec.create ~capacity:32 ();
+  }
+
 let create region alloc hooks ~current_epoch =
-  let t =
-    { region; alloc; hooks; current_epoch; root = 0; stats = fresh_stats () }
-  in
+  let t = make region alloc hooks ~current_epoch in
   let leaf = Leaf.create alloc region ~layer:0 ~epoch:(current_epoch ()) in
   Nvm.Region.write_int region Nvm.Layout.off_root leaf;
   (* The initial root must survive even a crash in the first epoch. *)
@@ -73,9 +86,7 @@ let create region alloc hooks ~current_epoch =
   t
 
 let open_existing region alloc hooks ~current_epoch =
-  let t =
-    { region; alloc; hooks; current_epoch; root = 0; stats = fresh_stats () }
-  in
+  let t = make region alloc hooks ~current_epoch in
   t.root <- read_root region;
   if t.root = 0 then failwith "Tree.open_existing: no root recorded";
   t
@@ -124,28 +135,35 @@ let read_suffix_value t buf =
 
 (* --- descent ----------------------------------------------------------- *)
 
-(* Stack of (internal, child-index) with the immediate parent first. *)
-let descend t root slice =
-  let rec loop node stack =
-    if Leaf.is_leaf_node t.region node then (node, stack)
-    else begin
-      let idx = Internal.search_child t.region node ~slice in
-      loop (Internal.child t.region node ~i:idx) ((node, idx) :: stack)
-    end
-  in
-  loop root []
+(* Walk from [root] to the leaf covering the slice [hi]/[lo], pushing
+   each (internal, child index) pair onto the spine; the caller notes the
+   spine length before the call and after it, and the pairs in between
+   are its frame, the immediate parent last. A loop, not a local closure,
+   so no descent allocates. *)
+let descend t root ~hi ~lo =
+  let node = ref root in
+  while not (Leaf.is_leaf_node t.region !node) do
+    let idx = Internal.search_child t.region !node ~hi ~lo in
+    Util.Ivec.push t.spine !node;
+    Util.Ivec.push t.spine idx;
+    node := Internal.child t.region !node ~i:idx
+  done;
+  !node
 
-(* Read-path variant: same walk, same charges, but no ancestor stack —
-   lookups and scans never splice, so they need not allocate the spine. *)
-let descend_leaf t root slice =
-  let rec loop node =
-    if Leaf.is_leaf_node t.region node then node
-    else
-      loop
-        (Internal.child t.region node
-           ~i:(Internal.search_child t.region node ~slice))
-  in
-  loop root
+(* Read-path variant: same walk, same charges, no spine — lookups and
+   scans never splice. *)
+let descend_leaf t root ~hi ~lo =
+  let node = ref root in
+  while not (Leaf.is_leaf_node t.region !node) do
+    node :=
+      Internal.child t.region !node
+        ~i:(Internal.search_child t.region !node ~hi ~lo)
+  done;
+  !node
+
+(* Frame accessors: the frame is the spine's pairs in [base, top). *)
+let frame_node t pos = Util.Ivec.get t.spine pos
+let frame_idx t pos = Util.Ivec.get t.spine (pos + 1)
 
 (* --- structural modification (splits) ---------------------------------- *)
 
@@ -153,22 +171,24 @@ let descend_leaf t root slice =
    of full ancestors, the first non-full ancestor (or the root holder when
    everything is full). Computed before any mutation so the whole set can
    be externally logged up front (§4.2). *)
-let structural_log_list t rr stack leaf =
+let structural_log_list t rr ~base ~top leaf =
   let sibling =
     match Leaf.next t.region leaf with
     | 0 -> []
     | nx -> [ (nx, Leaf.node_bytes) ]
   in
-  let rec walk = function
-    | [] -> ([], true)
-    | (node, _) :: rest ->
-        if Internal.is_full t.region node then begin
-          let more, root_change = walk rest in
-          ((node, Internal.node_bytes) :: more, root_change)
-        end
-        else ([ (node, Internal.node_bytes) ], false)
+  let rec walk pos =
+    if pos < base then ([], true)
+    else begin
+      let node = frame_node t pos in
+      if Internal.is_full t.region node then begin
+        let more, root_change = walk (pos - 2) in
+        ((node, Internal.node_bytes) :: more, root_change)
+      end
+      else ([ (node, Internal.node_bytes) ], false)
+    end
   in
-  let internals, root_change = walk stack in
+  let internals, root_change = walk (top - 2) in
   let root_entry =
     if not root_change then []
     else
@@ -205,7 +225,8 @@ let pick_split_rank t leaf p =
   search 0
 
 let copy_entry t ~src ~src_slot ~dst ~dst_slot =
-  Leaf.set_key t.region dst ~slot:dst_slot (Leaf.key t.region src ~slot:src_slot);
+  let k = Leaf.key t.region src ~slot:src_slot in
+  Leaf.set_key t.region dst ~slot:dst_slot ~hi:(Key.hi32 k) ~lo:(Key.lo32 k);
   Leaf.set_keylen t.region dst ~slot:dst_slot
     (Leaf.keylen t.region src ~slot:src_slot);
   Leaf.set_value t.region dst ~slot:dst_slot
@@ -228,12 +249,12 @@ let split_leaf t leaf ~layer =
   done;
   let rp = ref Permutation.empty in
   for j = 0 to moved - 1 do
-    rp := fst (Permutation.insert !rp ~rank:j)
+    rp := Permutation.insert !rp ~rank:j
   done;
   Leaf.set_perm t.region right !rp;
   let lp = ref p in
   for _ = 1 to moved do
-    lp := fst (Permutation.remove !lp ~rank:(Permutation.count !lp - 1))
+    lp := Permutation.remove !lp ~rank:(Permutation.count !lp - 1)
   done;
   Leaf.set_perm t.region leaf !lp;
   let old_next = Leaf.next t.region leaf in
@@ -264,175 +285,196 @@ let split_internal t node ~layer =
   t.stats.internal_splits <- t.stats.internal_splits + 1;
   (right, sep_up)
 
-let rec insert_into_parent t rr ~layer stack ~left ~sep ~right =
-  match stack with
-  | [] ->
-      let nroot = Internal.create t.alloc t.region ~layer in
-      Internal.set_child t.region nroot ~i:0 left;
-      Internal.set_key t.region nroot ~i:0 sep;
-      Internal.set_child t.region nroot ~i:1 right;
-      Internal.set_nkeys t.region nroot 1;
-      set_root t rr nroot;
-      t.stats.root_splits <- t.stats.root_splits + 1
-  | (node, _) :: rest ->
-      if Internal.is_full t.region node then begin
-        let right2, sep_up = split_internal t node ~layer in
-        let target =
-          if Key.compare_slices sep sep_up >= 0 then right2 else node
-        in
-        let at = Internal.search_child t.region target ~slice:sep in
-        Internal.insert_separator t.region target ~at ~sep ~right;
-        insert_into_parent t rr ~layer rest ~left:node ~sep:sep_up
-          ~right:right2
-      end
-      else begin
-        let at = Internal.search_child t.region node ~slice:sep in
-        Internal.insert_separator t.region node ~at ~sep ~right
-      end
-
-(* Insert a fresh entry. [make_v] runs after all hooks so its allocation
-   belongs to the epoch that the modification lands in. Returns the leaf,
-   slot and value finally written. *)
-let insert_entry t rr ~layer stack leaf rank ~slice ~klen ~make_v =
-  let write_at target rank =
-    let v = make_v () in
-    let p = Leaf.perm t.region target in
-    let p', slot = Permutation.insert p ~rank in
-    Leaf.set_key t.region target ~slot slice;
-    Leaf.set_keylen t.region target ~slot klen;
-    Leaf.set_value t.region target ~slot v;
-    (* Activation last: the entry becomes visible in one permutation
-       store (Listing 1's ordering concern is InCLLp's job, §4.1.2). *)
-    Leaf.set_perm t.region target p';
-    (target, slot, v)
-  in
-  if not (Permutation.is_full (Leaf.perm t.region leaf)) then begin
-    t.hooks.Hooks.pre_leaf_insert ~leaf;
-    write_at leaf rank
+(* [top] bounds the frame still to climb: its last pair is the parent of
+   [left]. *)
+let rec insert_into_parent t rr ~layer ~base ~top ~left ~sep ~right =
+  if top <= base then begin
+    let nroot = Internal.create t.alloc t.region ~layer in
+    Internal.set_child t.region nroot ~i:0 left;
+    Internal.set_key t.region nroot ~i:0 sep;
+    Internal.set_child t.region nroot ~i:1 right;
+    Internal.set_nkeys t.region nroot 1;
+    set_root t rr nroot;
+    t.stats.root_splits <- t.stats.root_splits + 1
   end
   else begin
-    t.hooks.Hooks.pre_structural (structural_log_list t rr stack leaf);
+    let node = frame_node t (top - 2) in
+    let hi = Key.hi32 sep and lo = Key.lo32 sep in
+    if Internal.is_full t.region node then begin
+      let right2, sep_up = split_internal t node ~layer in
+      let target =
+        if Key.compare_slices sep sep_up >= 0 then right2 else node
+      in
+      let at = Internal.search_child t.region target ~hi ~lo in
+      Internal.insert_separator t.region target ~at ~sep ~right;
+      insert_into_parent t rr ~layer ~base ~top:(top - 2) ~left:node
+        ~sep:sep_up ~right:right2
+    end
+    else begin
+      let at = Internal.search_child t.region node ~hi ~lo in
+      Internal.insert_separator t.region node ~at ~sep ~right
+    end
+  end
+
+(* Unsigned order of the slice [hi]/[lo] against the slice [s]. *)
+let compare_halves ~hi ~lo s =
+  let c = compare (hi : int) (Key.hi32 s) in
+  if c <> 0 then c else compare (lo : int) (Key.lo32 s)
+
+(* Write a fresh entry at [rank] of [target]. [make_v] runs after all
+   hooks so its allocation belongs to the epoch that the modification
+   lands in. *)
+let write_entry t target rank ~hi ~lo ~klen ~make_v =
+  let v = make_v () in
+  let p' = Permutation.insert (Leaf.perm t.region target) ~rank in
+  let slot = Permutation.slot_at_rank p' rank in
+  Leaf.set_key t.region target ~slot ~hi ~lo;
+  Leaf.set_keylen t.region target ~slot klen;
+  Leaf.set_value t.region target ~slot v;
+  (* Activation last: the entry becomes visible in one permutation
+     store (Listing 1's ordering concern is InCLLp's job, §4.1.2). *)
+  Leaf.set_perm t.region target p'
+
+(* Insert a fresh entry for the slice [hi]/[lo] into [leaf], whose descent
+   frame is [base, top). *)
+let insert_entry t rr ~layer ~base ~top leaf rank ~hi ~lo ~klen ~make_v =
+  if not (Permutation.is_full (Leaf.perm t.region leaf)) then begin
+    t.hooks.Hooks.pre_leaf_insert ~leaf;
+    write_entry t leaf rank ~hi ~lo ~klen ~make_v
+  end
+  else begin
+    t.hooks.Hooks.pre_structural (structural_log_list t rr ~base ~top leaf);
     let right, sep = split_leaf t leaf ~layer in
-    insert_into_parent t rr ~layer stack ~left:leaf ~sep ~right;
-    let target = if Key.compare_slices slice sep >= 0 then right else leaf in
+    insert_into_parent t rr ~layer ~base ~top ~left:leaf ~sep ~right;
+    let target = if compare_halves ~hi ~lo sep >= 0 then right else leaf in
     t.hooks.Hooks.pre_leaf_insert ~leaf:target;
-    match Leaf.find t.region target ~slice ~keylen:klen with
-    | Leaf.Found _ -> assert false
-    | Leaf.Insert_before rank -> write_at target rank
+    let r = Leaf.find t.region target ~hi ~lo ~keylen:klen in
+    assert (r < 0);
+    write_entry t target (lnot r) ~hi ~lo ~klen ~make_v
   end
 
 (* --- point operations --------------------------------------------------- *)
 
-let slice_info key ~layer =
-  let s = Key.slice_at key ~layer in
-  (s.Key.bits, Key.has_suffix key ~layer, s.Key.len)
+(* The point operations take the slice as its two 32-bit halves (Key.slice_hi
+   / slice_lo) and read Leaf.find's int-coded result: a rank [r >= 0] when
+   found, [lnot r] otherwise. *)
 
 let rec put_rec t rr root ~key ~layer ~value =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf, stack = descend t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let base = Util.Ivec.length t.spine in
+  let leaf = descend t root ~hi ~lo in
+  let top = Util.Ivec.length t.spine in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then begin
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
-        let old_buf = Leaf.value t.region leaf ~slot in
-        let new_buf = write_value t value in
-        Leaf.set_value t.region leaf ~slot new_buf;
-        t.alloc.Alloc.Api.dealloc old_buf;
-        t.stats.updates <- t.stats.updates + 1
-    | Leaf.Insert_before rank ->
-        ignore
-          (insert_entry t rr ~layer stack leaf rank ~slice ~klen:slen
-             ~make_v:(fun () -> write_value t value));
-        t.stats.inserts <- t.stats.inserts + 1
+  if not (Key.has_suffix key ~layer) then begin
+    let klen = Key.slice_len key ~layer in
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:klen in
+    if r >= 0 then begin
+      let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+      t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
+      let old_buf = Leaf.value t.region leaf ~slot in
+      let new_buf = write_value t value in
+      Leaf.set_value t.region leaf ~slot new_buf;
+      t.alloc.Alloc.Api.dealloc old_buf;
+      t.stats.updates <- t.stats.updates + 1
+    end
+    else begin
+      insert_entry t rr ~layer ~base ~top leaf (lnot r) ~hi ~lo ~klen
+        ~make_v:(fun () -> write_value t value);
+      t.stats.inserts <- t.stats.inserts + 1
+    end
   end
   else begin
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        let subroot = Leaf.value t.region leaf ~slot in
-        put_rec t (Val_slot { leaf; slot }) subroot ~key ~layer:(layer + 1)
-          ~value
-    | Leaf.Insert_before _ -> (
-        let suff = Key.suffix key ~layer in
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            let stored = read_suffix t buf in
-            if stored = suff then begin
-              (* Same long key: an ordinary value update. *)
-              t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
-              let new_buf = write_suffix_value t ~suffix:suff ~value in
-              Leaf.set_value t.region leaf ~slot new_buf;
-              t.alloc.Alloc.Api.dealloc buf;
-              t.stats.updates <- t.stats.updates + 1
-            end
-            else begin
-              (* Two long keys share the slice: convert the suffix entry
-                 into a nested layer holding both. Changing keylen and
-                 the value pointer of a live entry is a structural
-                 modification — log the whole leaf (§4.2). *)
-              t.hooks.Hooks.pre_structural [ (leaf, Leaf.node_bytes) ];
-              let sub =
-                Leaf.create t.alloc t.region ~layer:(layer + 1)
-                  ~epoch:(t.current_epoch ())
-              in
-              Leaf.set_keylen t.region leaf ~slot Key.layer_link_len;
-              Leaf.set_value t.region leaf ~slot sub;
-              t.stats.layer_creations <- t.stats.layer_creations + 1;
-              let old_value = read_suffix_value t buf in
-              (* Re-insert the displaced key: only its bytes past this
-                 layer matter, so a zero-padded synthetic prefix works. *)
-              let synth = String.make (8 * (layer + 1)) '\000' ^ stored in
-              put_rec t (Val_slot { leaf; slot }) sub ~key:synth
-                ~layer:(layer + 1) ~value:old_value;
-              t.alloc.Alloc.Api.dealloc buf;
-              let subroot = Leaf.value t.region leaf ~slot in
-              put_rec t (Val_slot { leaf; slot }) subroot ~key
-                ~layer:(layer + 1) ~value
-            end
-        | Leaf.Insert_before rank ->
-            ignore
-              (insert_entry t rr ~layer stack leaf rank ~slice
-                 ~klen:Key.suffix_len_marker
-                 ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value));
-            t.stats.inserts <- t.stats.inserts + 1)
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then begin
+      let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+      let subroot = Leaf.value t.region leaf ~slot in
+      put_rec t (Val_slot { leaf; slot }) subroot ~key ~layer:(layer + 1)
+        ~value
+    end
+    else begin
+      let suff = Key.suffix key ~layer in
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      if r >= 0 then begin
+        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+        let buf = Leaf.value t.region leaf ~slot in
+        let stored = read_suffix t buf in
+        if stored = suff then begin
+          (* Same long key: an ordinary value update. *)
+          t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
+          let new_buf = write_suffix_value t ~suffix:suff ~value in
+          Leaf.set_value t.region leaf ~slot new_buf;
+          t.alloc.Alloc.Api.dealloc buf;
+          t.stats.updates <- t.stats.updates + 1
+        end
+        else begin
+          (* Two long keys share the slice: convert the suffix entry
+             into a nested layer holding both. Changing keylen and
+             the value pointer of a live entry is a structural
+             modification — log the whole leaf (§4.2). *)
+          t.hooks.Hooks.pre_structural [ (leaf, Leaf.node_bytes) ];
+          let sub =
+            Leaf.create t.alloc t.region ~layer:(layer + 1)
+              ~epoch:(t.current_epoch ())
+          in
+          Leaf.set_keylen t.region leaf ~slot Key.layer_link_len;
+          Leaf.set_value t.region leaf ~slot sub;
+          t.stats.layer_creations <- t.stats.layer_creations + 1;
+          let old_value = read_suffix_value t buf in
+          (* Re-insert the displaced key: only its bytes past this
+             layer matter, so a zero-padded synthetic prefix works. *)
+          let synth = String.make (8 * (layer + 1)) '\000' ^ stored in
+          put_rec t (Val_slot { leaf; slot }) sub ~key:synth
+            ~layer:(layer + 1) ~value:old_value;
+          t.alloc.Alloc.Api.dealloc buf;
+          let subroot = Leaf.value t.region leaf ~slot in
+          put_rec t (Val_slot { leaf; slot }) subroot ~key
+            ~layer:(layer + 1) ~value
+        end
+      end
+      else begin
+        insert_entry t rr ~layer ~base ~top leaf (lnot r) ~hi ~lo
+          ~klen:Key.suffix_len_marker
+          ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value);
+        t.stats.inserts <- t.stats.inserts + 1
+      end
+    end
   end
 
 let put t ~key ~value =
   t.stats.puts <- t.stats.puts + 1;
+  Util.Ivec.clear t.spine;
   put_rec t Top t.root ~key ~layer:0 ~value
 
 let rec get_rec t root ~key ~layer =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf = descend_leaf t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let leaf = descend_leaf t root ~hi ~lo in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Insert_before _ -> None
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        Some (read_value t (Leaf.value t.region leaf ~slot))
-  else
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        get_rec t (Leaf.value t.region leaf ~slot) ~key ~layer:(layer + 1)
-    | Leaf.Insert_before _ -> (
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Insert_before _ -> None
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            if read_suffix t buf = Key.suffix key ~layer then
-              Some (read_suffix_value t buf)
-            else None)
+  if not (Key.has_suffix key ~layer) then begin
+    let r =
+      Leaf.find t.region leaf ~hi ~lo ~keylen:(Key.slice_len key ~layer)
+    in
+    if r < 0 then None
+    else
+      let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+      Some (read_value t (Leaf.value t.region leaf ~slot))
+  end
+  else begin
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then
+      let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+      get_rec t (Leaf.value t.region leaf ~slot) ~key ~layer:(layer + 1)
+    else begin
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      if r < 0 then None
+      else begin
+        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+        let buf = Leaf.value t.region leaf ~slot in
+        if read_suffix t buf = Key.suffix key ~layer then
+          Some (read_suffix_value t buf)
+        else None
+      end
+    end
+  end
 
 let get t ~key =
   t.stats.gets <- t.stats.gets + 1;
@@ -447,39 +489,37 @@ let mem t ~key = Option.is_some (get t ~key)
    nodes that change are externally logged first; the leaf itself is
    logged too, so its rollback image is complete, and its chunk goes to
    the allocator's limbo list (resurrected if the epoch fails). *)
-let remove_empty_leaf t rr ~layer stack leaf =
-  ignore layer;
+let remove_empty_leaf t rr ~base ~top leaf =
   let region = t.region in
   let prev = Leaf.prev region leaf and next = Leaf.next region leaf in
-  let parent, pidx, rest =
-    match stack with
-    | (p, i) :: rest -> (p, i, rest)
-    | [] -> invalid_arg "remove_empty_leaf: layer root"
-  in
+  if top <= base then invalid_arg "remove_empty_leaf: layer root";
+  let parent = frame_node t (top - 2) and pidx = frame_idx t (top - 2) in
+  (* The grandparent's pair, if the parent is not the layer root. *)
+  let gpos = top - 4 in
   let splice = Internal.nkeys region parent = 1 in
   let log = ref [ (leaf, Leaf.node_bytes); (parent, Internal.node_bytes) ] in
   if prev <> 0 then log := (prev, Leaf.node_bytes) :: !log;
   if next <> 0 then log := (next, Leaf.node_bytes) :: !log;
   if splice then
-    (match rest with
-    | (gp, _) :: _ -> log := (gp, Internal.node_bytes) :: !log
-    | [] ->
-        log :=
-          (match rr with
-          | Top -> (Nvm.Layout.off_root, Nvm.Config.line_size)
-          | Val_slot { leaf = pl; _ } -> (pl, Leaf.node_bytes))
-          :: !log);
+    log :=
+      (if gpos >= base then (frame_node t gpos, Internal.node_bytes)
+       else
+         match rr with
+         | Top -> (Nvm.Layout.off_root, Nvm.Config.line_size)
+         | Val_slot { leaf = pl; _ } -> (pl, Leaf.node_bytes))
+      :: !log;
   t.hooks.Hooks.pre_structural !log;
   if prev <> 0 then Leaf.set_next region prev next;
   if next <> 0 then Leaf.set_prev region next prev;
   if splice then begin
     (* The parent had two children; the survivor takes its place. *)
     let keep = Internal.child region parent ~i:(1 - pidx) in
-    (match rest with
-    | (gp, gidx) :: _ -> Internal.set_child region gp ~i:gidx keep
-    | [] ->
-        set_root t rr keep;
-        t.stats.root_collapses <- t.stats.root_collapses + 1);
+    if gpos >= base then
+      Internal.set_child region (frame_node t gpos) ~i:(frame_idx t gpos) keep
+    else begin
+      set_root t rr keep;
+      t.stats.root_collapses <- t.stats.root_collapses + 1
+    end;
     t.alloc.Alloc.Api.dealloc parent;
     t.stats.internal_splices <- t.stats.internal_splices + 1
   end
@@ -489,72 +529,80 @@ let remove_empty_leaf t rr ~layer stack leaf =
 
 (* Remove the entry at [rank]. Returns the entry's value pointer (the
    caller deallocates it — a value buffer or a pruned layer root). *)
-let remove_entry t rr ~layer stack leaf rank =
+let remove_entry t rr ~base ~top leaf rank =
   let region = t.region in
   let p = Leaf.perm region leaf in
   let slot = Permutation.slot_at_rank p rank in
   let v = Leaf.value region leaf ~slot in
-  if Permutation.count p > 1 || stack = [] then begin
+  if Permutation.count p > 1 || top <= base then begin
     t.hooks.Hooks.pre_leaf_remove ~leaf;
-    let p2, _ = Permutation.remove (Leaf.perm region leaf) ~rank in
-    Leaf.set_perm region leaf p2
+    Leaf.set_perm region leaf (Permutation.remove (Leaf.perm region leaf) ~rank)
   end
-  else remove_empty_leaf t rr ~layer stack leaf;
+  else remove_empty_leaf t rr ~base ~top leaf;
   v
 
 let rec remove_rec t rr root ~key ~layer =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf, stack = descend t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let base = Util.Ivec.length t.spine in
+  let leaf = descend t root ~hi ~lo in
+  let top = Util.Ivec.length t.spine in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then begin
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Insert_before _ -> false
-    | Leaf.Found rank ->
-        let old_buf = remove_entry t rr ~layer stack leaf rank in
-        t.alloc.Alloc.Api.dealloc old_buf;
-        true
+  if not (Key.has_suffix key ~layer) then begin
+    let r =
+      Leaf.find t.region leaf ~hi ~lo ~keylen:(Key.slice_len key ~layer)
+    in
+    if r < 0 then false
+    else begin
+      let old_buf = remove_entry t rr ~base ~top leaf r in
+      t.alloc.Alloc.Api.dealloc old_buf;
+      true
+    end
   end
   else begin
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        let sub = Leaf.value t.region leaf ~slot in
-        let removed =
-          remove_rec t (Val_slot { leaf; slot }) sub ~key ~layer:(layer + 1)
-        in
-        (if removed then begin
-           (* If the nested layer collapsed to an empty leaf, prune the
-              link entry (which may in turn empty this leaf, recursively
-              up through the layers as each frame returns). *)
-           let sub2 = Leaf.value t.region leaf ~slot in
-           if
-             Leaf.is_leaf_node t.region sub2
-             && Leaf.entry_count t.region sub2 = 0
-           then begin
-             ignore (remove_entry t rr ~layer stack leaf rank : int);
-             t.alloc.Alloc.Api.dealloc sub2;
-             t.stats.layer_prunes <- t.stats.layer_prunes + 1
-           end
-         end);
-        removed
-    | Leaf.Insert_before _ -> (
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Insert_before _ -> false
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            if read_suffix t buf = Key.suffix key ~layer then begin
-              ignore (remove_entry t rr ~layer stack leaf rank : int);
-              t.alloc.Alloc.Api.dealloc buf;
-              true
-            end
-            else false)
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then begin
+      let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+      let sub = Leaf.value t.region leaf ~slot in
+      let removed =
+        remove_rec t (Val_slot { leaf; slot }) sub ~key ~layer:(layer + 1)
+      in
+      (if removed then begin
+         (* If the nested layer collapsed to an empty leaf, prune the
+            link entry (which may in turn empty this leaf, recursively
+            up through the layers as each frame returns). The nested
+            descents pushed their frames above [top], so this layer's
+            frame is intact. *)
+         let sub2 = Leaf.value t.region leaf ~slot in
+         if
+           Leaf.is_leaf_node t.region sub2
+           && Leaf.entry_count t.region sub2 = 0
+         then begin
+           ignore (remove_entry t rr ~base ~top leaf r : int);
+           t.alloc.Alloc.Api.dealloc sub2;
+           t.stats.layer_prunes <- t.stats.layer_prunes + 1
+         end
+       end);
+      removed
+    end
+    else begin
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      if r < 0 then false
+      else begin
+        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) r in
+        let buf = Leaf.value t.region leaf ~slot in
+        if read_suffix t buf = Key.suffix key ~layer then begin
+          ignore (remove_entry t rr ~base ~top leaf r : int);
+          t.alloc.Alloc.Api.dealloc buf;
+          true
+        end
+        else false
+      end
+    end
   end
 
 let remove t ~key =
   t.stats.removes <- t.stats.removes + 1;
+  Util.Ivec.clear t.spine;
   remove_rec t Top t.root ~key ~layer:0
 
 (* --- range scans -------------------------------------------------------- *)
@@ -563,20 +611,14 @@ let remove t ~key =
    layer (i.e. with the covering 8-byte prefixes stripped). Returns false
    when [f] asked to stop. *)
 let rec scan_layer t root ~prefix ~local_start ~f =
-  let target =
-    match local_start with
-    | None -> { Key.bits = 0L; len = 0 }
-    | Some k -> Key.slice_at k ~layer:0
-  in
+  let start = Option.value local_start ~default:"" in
+  let shi = Key.slice_hi start ~layer:0 and slo = Key.slice_lo start ~layer:0 in
+  (* Between 8 (a full terminal) and 15 (a link), so a key that continues
+     past this layer skips the exact-8 terminal. *)
   let target_klen =
-    match local_start with
-    | None -> 0
-    | Some k ->
-        (* Between 8 (a full terminal) and 15 (a link), so a key that
-           continues past this layer skips the exact-8 terminal. *)
-        if Key.has_suffix k ~layer:0 then 9 else target.Key.len
+    if Key.has_suffix start ~layer:0 then 9 else Key.slice_len start ~layer:0
   in
-  let leaf0, _ = descend t root target.Key.bits in
+  let leaf0 = descend_leaf t root ~hi:shi ~lo:slo in
   let rec entries leaf rank n p =
     if rank >= n then
       let nx = Leaf.next t.region leaf in
@@ -590,7 +632,7 @@ let rec scan_layer t root ~prefix ~local_start ~f =
           let sub_start =
             match local_start with
             | Some k
-              when (Key.slice_at k ~layer:0).Key.bits = s
+              when Int64.equal (Key.slice k ~layer:0) s
                    && Key.has_suffix k ~layer:0 ->
                 Some (Key.suffix k ~layer:0)
             | _ -> None
@@ -628,13 +670,8 @@ let rec scan_layer t root ~prefix ~local_start ~f =
   and first_leaf leaf =
     t.hooks.Hooks.on_leaf_access ~leaf;
     let p = Leaf.perm t.region leaf in
-    let rank =
-      match
-        Leaf.find t.region leaf ~slice:target.Key.bits ~keylen:target_klen
-      with
-      | Leaf.Found r -> r
-      | Leaf.Insert_before r -> r
-    in
+    let r = Leaf.find t.region leaf ~hi:shi ~lo:slo ~keylen:target_klen in
+    let rank = if r >= 0 then r else lnot r in
     entries leaf rank (Permutation.count p) p
   in
   first_leaf leaf0
@@ -643,11 +680,6 @@ let rec scan_layer t root ~prefix ~local_start ~f =
    between leaves, nested layers visited from their rightmost leaf. The
    residual bound selects the largest entry <= the bound. *)
 let rec scan_layer_rev t root ~prefix ~local_bound ~f =
-  let target =
-    match local_bound with
-    | None -> None
-    | Some k -> Some (Key.slice_at k ~layer:0)
-  in
   let rec rightmost node =
     if Leaf.is_leaf_node t.region node then node
     else rightmost (Internal.child t.region node ~i:(Internal.nkeys t.region node))
@@ -671,7 +703,7 @@ let rec scan_layer_rev t root ~prefix ~local_bound ~f =
             match local_bound with
             | None -> `Visit None
             | Some k ->
-                let bs = (Key.slice_at k ~layer:0).Key.bits in
+                let bs = Key.slice k ~layer:0 in
                 let c = Key.compare_slices s bs in
                 if c > 0 then `Skip
                 else if c < 0 then `Visit None
@@ -713,25 +745,22 @@ let rec scan_layer_rev t root ~prefix ~local_bound ~f =
     let p = Leaf.perm t.region leaf in
     entries leaf (Permutation.count p - 1) p
   in
-  match target with
+  match local_bound with
   | None -> visit_leaf (rightmost root)
-  | Some tg ->
-      let leaf0 = descend_leaf t root tg.Key.bits in
+  | Some k ->
+      let hi = Key.slice_hi k ~layer:0 and lo = Key.slice_lo k ~layer:0 in
+      let leaf0 = descend_leaf t root ~hi ~lo in
       t.hooks.Hooks.on_leaf_access ~leaf:leaf0;
       let p = Leaf.perm t.region leaf0 in
       let tklen =
-        match local_bound with
-        | Some k when Key.has_suffix k ~layer:0 -> 9
-        | Some k -> (Key.slice_at k ~layer:0).Key.len
-        | None -> 0
+        if Key.has_suffix k ~layer:0 then 9 else Key.slice_len k ~layer:0
       in
       (* Largest rank at or below the bound. A link entry covering the
          bound sorts above (slice, tklen<=9), so start one past the find
          position and let the per-entry bound check trim. *)
+      let r = Leaf.find t.region leaf0 ~hi ~lo ~keylen:tklen in
       let from_rank =
-        match Leaf.find t.region leaf0 ~slice:tg.Key.bits ~keylen:tklen with
-        | Leaf.Found r -> r
-        | Leaf.Insert_before r -> min r (Permutation.count p - 1)
+        if r >= 0 then r else min (lnot r) (Permutation.count p - 1)
       in
       entries leaf0 from_rank p
 
@@ -778,7 +807,7 @@ let cardinal t =
   let n = ref 0 in
   (* Count without materialising values. *)
   let rec count_layer root =
-    let leaf0 = descend_leaf t root 0L in
+    let leaf0 = descend_leaf t root ~hi:0 ~lo:0 in
     let rec walk leaf =
       if leaf <> 0 then begin
         t.hooks.Hooks.on_leaf_access ~leaf;

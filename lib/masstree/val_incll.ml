@@ -1,24 +1,11 @@
-type decoded = { ptr : int; idx : int; low_epoch : int }
-
 let invalid_idx = 15
 
-let pack ~ptr ~idx ~low_epoch =
+let pack ~ptr ~idx =
   if ptr land 15 <> 0 then invalid_arg "Val_incll.pack: unaligned pointer";
   if idx < 0 || idx > 15 then invalid_arg "Val_incll.pack: bad idx";
-  let open Int64 in
-  logor
-    (of_int (idx land 0xf))
-    (logor
-       (shift_left (of_int (ptr lsr 4)) 4)
-       (shift_left (of_int (low_epoch land 0xffff)) 48))
+  ptr land 0xffff_ffff_fff0 lor idx
 
-let unpack w =
-  {
-    idx = Util.Bits.get_int w ~lo:0 ~width:4;
-    ptr = Util.Bits.get_int w ~lo:4 ~width:44 lsl 4;
-    low_epoch = Util.Bits.get_int w ~lo:48 ~width:16;
-  }
-
-let invalid ~low_epoch = pack ~ptr:0 ~idx:invalid_idx ~low_epoch
-
-let is_invalid w = (unpack w).idx = invalid_idx
+let idx low = low land 0xf
+let ptr low = low land 0xffff_ffff_fff0
+let invalid = invalid_idx
+let is_invalid low = idx low = invalid_idx

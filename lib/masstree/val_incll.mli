@@ -12,16 +12,24 @@
     16-byte aligned and far below 2^48, so the same packing applies. [idx]
     identifies which of the seven value slots sharing the cache line was
     logged; 15 ([invalid_idx]) means "unused". The 16 epoch bits combine
-    with the high bits of the node's [nodeEpoch] (§4.1.3). *)
+    with the high bits of the node's [nodeEpoch] (§4.1.3).
 
-type decoded = { ptr : int; idx : int; low_epoch : int }
+    The epoch field is the word's top 16 bits, so the word moves through
+    the region as a split word ({!Nvm.Region.read_split}): the epoch is
+    the split's top half as it stands, and this module codes the low 48
+    bits. Every function here is allocation-free. *)
 
 val invalid_idx : int
 
-val pack : ptr:int -> idx:int -> low_epoch:int -> int64
-val unpack : int64 -> decoded
+val pack : ptr:int -> idx:int -> int
+(** Low 48 bits logging [ptr] (16-byte aligned, below 2^48) for slot
+    [idx]. *)
 
-val invalid : low_epoch:int -> int64
-(** An unused InCLL stamped with the epoch's low bits. *)
+val idx : int -> int
+val ptr : int -> int
+(** Fields of the low 48 bits. *)
 
-val is_invalid : int64 -> bool
+val invalid : int
+(** Low 48 bits of an unused InCLL ([pack ~ptr:0 ~idx:invalid_idx]). *)
+
+val is_invalid : int -> bool

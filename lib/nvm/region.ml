@@ -46,6 +46,10 @@ type t = {
   h_wbinvd : Obs.Histogram.t;  (* per-wbinvd latency, ns *)
   h_sweep : Obs.Histogram.t;  (* per-sweep-quantum latency, ns *)
   mutable sfence_extra_ns : float;  (* runtime-adjustable emulated latency *)
+  mutable sfence_cost : float;
+      (* [sfence_ns + sfence_extra_ns], kept boxed so an sfence passes it
+         on without allocating *)
+  mutable split_top : int;  (* top 16 bits of the last [read_split] word *)
   (* Direct-mapped LLC tag array: models capacity misses so locality has a
      price. Tag slots hold line ids (+1; 0 = empty). *)
   llc_tags : int array;
@@ -255,11 +259,13 @@ let create (cfg : Config.t) =
     trace;
     spans;
     series_tbl = Hashtbl.create 8;
-    stalls = Obs.Stall.create ~registry:metrics ();
+    stalls = Obs.Stall.create ~registry:metrics ~clock:stats.Stats.clock ();
     h_sfence = Obs.Registry.histogram metrics "nvm.sfence_ns";
     h_wbinvd = Obs.Registry.histogram metrics "nvm.wbinvd_ns";
     h_sweep = Obs.Registry.histogram metrics "nvm.sweep_ns";
     sfence_extra_ns = cfg.cost.Config.sfence_extra_ns;
+    sfence_cost = cfg.cost.Config.sfence_ns +. cfg.cost.Config.sfence_extra_ns;
+    split_top = 0;
     (* 2^18 slots x 64 B = a 16 MiB simulated LLC. *)
     llc_tags = Array.make 262144 0;
     llc_mask = 262143;
@@ -292,6 +298,8 @@ let metrics t = t.metrics
 let stalls t = t.stalls
 let trace t = t.trace
 let spans t = t.spans
+
+let tracing t = Obs.Trace.enabled t.trace
 
 let trace_event t payload =
   Obs.Trace.record t.trace ~ts_ns:(Stats.sim_ns t.stats) payload
@@ -448,15 +456,11 @@ let read_i64 t addr =
 let compare_u64 t addr ~hi ~lo =
   if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
   charge_read t addr;
-  let b = t.volatile in
-  let whi =
-    Bytes.get_uint16_le b (addr + 4) lor (Bytes.get_uint16_le b (addr + 6) lsl 16)
-  in
+  let w = Bytes.get_int64_le t.volatile addr in
+  let whi = Int64.to_int (Int64.shift_right_logical w 32) in
   if whi <> hi then (if whi < hi then -1 else 1)
   else begin
-    let wlo =
-      Bytes.get_uint16_le b addr lor (Bytes.get_uint16_le b (addr + 2) lsl 16)
-    in
+    let wlo = Int64.to_int w land 0xffff_ffff in
     if wlo = lo then 0 else if wlo < lo then -1 else 1
   end
 
@@ -470,33 +474,52 @@ let write_i64 t addr v =
   Bytes.set_int64_le t.volatile addr v;
   store_committed t addr 8
 
-(* Tagged-int word accessors: same bytes, same charges as {!read_i64} /
-   {!write_i64} composed with [Int64.to_int] / [Int64.of_int], but built
-   from 16-bit accesses so no boxed [Int64] is ever allocated (bit 63 is
-   truncated exactly as [Int64.to_int] truncates it). *)
-let get_int_le b i =
-  Bytes.get_uint16_le b i
-  lor (Bytes.get_uint16_le b (i + 2) lsl 16)
-  lor (Bytes.get_uint16_le b (i + 4) lsl 32)
-  lor (Bytes.get_uint16_le b (i + 6) lsl 48)
-
-let set_int_le b i v =
-  Bytes.set_uint16_le b i (v land 0xffff);
-  Bytes.set_uint16_le b (i + 2) ((v lsr 16) land 0xffff);
-  Bytes.set_uint16_le b (i + 4) ((v lsr 32) land 0xffff);
-  Bytes.set_uint16_le b (i + 6) ((v asr 48) land 0xffff)
-
+(* Tagged-int and split-word accessors: same bytes, same charges as
+   {!read_i64} / {!write_i64}, but the [Int64] they load or store never
+   leaves the function, so the compiler keeps it unboxed. [read_int]
+   truncates bit 63 exactly as [Int64.to_int] does. *)
 let read_int t addr =
   if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
   charge_read t addr;
-  get_int_le t.volatile addr
+  Int64.to_int (Bytes.get_int64_le t.volatile addr)
+
+(* Split words: the whole 64-bit word as two tagged ints, its top 16 bits
+   and its low 48. *)
+let low48 = 0xffff_ffff_ffff
+
+let read_split t addr =
+  if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
+  charge_read t addr;
+  let w = Bytes.get_int64_le t.volatile addr in
+  t.split_top <- Int64.to_int (Int64.shift_right_logical w 48);
+  Int64.to_int w land low48
+
+let split_top t = t.split_top
+
+let load_words t addr buf ~pos ~words =
+  check_range t addr (8 * words);
+  for k = 0 to words - 1 do
+    charge_read t (addr + (8 * k))
+  done;
+  Bytes.blit t.volatile addr buf pos (8 * words)
+
+let write_split t addr ~top ~low =
+  if addr land 7 <> 0 || addr < 0 || addr > t.size_bytes - 8 then begin
+    check_range t addr 8;
+    invalid_arg "Region.write_split: unaligned"
+  end;
+  Bytes.set_int64_le t.volatile addr
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int (top land 0xffff)) 48)
+       (Int64.of_int (low land low48)));
+  store_committed t addr 8
 
 let write_int t addr v =
   if addr land 7 <> 0 || addr < 0 || addr > t.size_bytes - 8 then begin
     check_range t addr 8;
     invalid_arg "Region.write_int: unaligned"
   end;
-  set_int_le t.volatile addr v;
+  Bytes.set_int64_le t.volatile addr (Int64.of_int v);
   store_committed t addr 8
 
 let read_u8 t addr =
@@ -556,24 +579,23 @@ let blit_to_buf t addr buf ~pos ~len =
   charge_read_span t addr len;
   Bytes.blit t.volatile addr buf pos len
 
+(* Disjoint ranges: copy straight out of the volatile image, no
+   temporary ([Bytes.blit] within one buffer is fine when the chunks
+   cannot alias). *)
+let rec blit_disjoint t dst src len =
+  if len > 0 then begin
+    let line_end = (dst lor (Config.line_size - 1)) + 1 in
+    let chunk = min len (line_end - dst) in
+    Bytes.blit t.volatile src t.volatile dst chunk;
+    store_committed t dst chunk;
+    blit_disjoint t (dst + chunk) (src + chunk) (len - chunk)
+  end
+
 let blit_within t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;
   charge_read_span t src len;
-  if src + len <= dst || dst + len <= src then
-    (* Disjoint ranges: copy straight out of the volatile image, no
-       temporary ([Bytes.blit] within one buffer is fine when the chunks
-       cannot alias). *)
-    let rec loop dst src len =
-      if len > 0 then begin
-        let line_end = (dst lor (Config.line_size - 1)) + 1 in
-        let chunk = min len (line_end - dst) in
-        Bytes.blit t.volatile src t.volatile dst chunk;
-        store_committed t dst chunk;
-        loop (dst + chunk) (src + chunk) (len - chunk)
-      end
-    in
-    loop dst src len
+  if src + len <= dst || dst + len <= src then blit_disjoint t dst src len
   else begin
     (* Overlapping: the destination stores must see the pre-copy source
        bytes, so stage them once. *)
@@ -588,9 +610,9 @@ let pending_wb_count t = Util.Ivec.length t.pending_wb
 (* Forget the pending write-back set without committing anything (the
    lines were either just committed or just lost to a crash/flush). *)
 let clear_pending_wb t =
-  Util.Ivec.iter
-    (fun line -> Bytes.unsafe_set t.wb_pending line '\000')
-    t.pending_wb;
+  for i = 0 to Util.Ivec.length t.pending_wb - 1 do
+    Bytes.unsafe_set t.wb_pending (Util.Ivec.get t.pending_wb i) '\000'
+  done;
   Util.Ivec.clear t.pending_wb
 
 let clwb t addr =
@@ -604,7 +626,7 @@ let clwb t addr =
   end;
   t.stats.Stats.clwb <- t.stats.Stats.clwb + 1;
   Stats.add_ns t.stats t.clwb_ns;
-  trace_event t (Obs.Trace.Clwb { line })
+  if tracing t then trace_event t (Obs.Trace.Clwb { line })
 
 let sfence t =
   (* Fault-injection hook: an armed chaos plan can kill the process at
@@ -612,19 +634,18 @@ let sfence t =
      nothing yet guaranteed persistent. *)
   Chaos.Plan.fire Chaos.Site.Sfence;
   let drained = Util.Ivec.length t.pending_wb in
-  Util.Ivec.iter (fun line -> commit_line t line) t.pending_wb;
+  for i = 0 to drained - 1 do
+    commit_line t (Util.Ivec.get t.pending_wb i)
+  done;
   clear_pending_wb t;
   t.stats.Stats.sfence <- t.stats.Stats.sfence + 1;
-  let c = t.cfg.Config.cost in
-  let cost = c.Config.sfence_ns +. t.sfence_extra_ns in
+  let cost = t.sfence_cost in
   Stats.add_ns t.stats cost;
   Obs.Histogram.record t.h_sfence cost;
   (* A free-standing fence is a clwb-sweep stall; inside a coarser scope
      (epoch flush, extlog seal, txn fence) the scope owns this time. *)
-  Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep
-    ~start_ns:(Stats.sim_ns t.stats -. cost)
-    ~dur_ns:cost;
-  trace_event t (Obs.Trace.Sfence { drained; dur_ns = cost })
+  Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep ~dur_ns:cost;
+  if tracing t then trace_event t (Obs.Trace.Sfence { drained; dur_ns = cost })
 
 let release_fence t =
   (* Same-line ordering is already program order in this simulator; the
@@ -653,10 +674,9 @@ let wbinvd t =
   in
   Stats.add_ns t.stats cost;
   Obs.Histogram.record t.h_wbinvd cost;
-  Obs.Stall.leaf t.stalls Obs.Stall.Epoch_advance
-    ~start_ns:(Stats.sim_ns t.stats -. cost)
-    ~dur_ns:cost;
-  trace_event t (Obs.Trace.Wbinvd { lines = ndirty; dur_ns = cost })
+  Obs.Stall.leaf t.stalls Obs.Stall.Epoch_advance ~dur_ns:cost;
+  if tracing t then
+    trace_event t (Obs.Trace.Wbinvd { lines = ndirty; dur_ns = cost })
 
 (* One bounded quantum of the incremental epoch flush (DESIGN.md §15):
    commit up to [budget_lines] dirty lines via clwb and drain them with
@@ -691,10 +711,8 @@ let flush_some t ~budget_lines =
     (* The quantum is the clwb-sweep stall the cause enum reserved; when a
        forced synchronous advance drains inside the Epoch_advance scope,
        the leaf is suppressed and the scope owns the time. *)
-    Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep
-      ~start_ns:(Stats.sim_ns t.stats -. cost)
-      ~dur_ns:cost;
-    trace_event t (Obs.Trace.Sweep { lines = n; dur_ns = cost });
+    Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep ~dur_ns:cost;
+    if tracing t then trace_event t (Obs.Trace.Sweep { lines = n; dur_ns = cost });
     dirty_line_count t
   end
 
@@ -702,7 +720,10 @@ let charge_op t =
   let st = t.stats in
   st.Stats.clock.Stats.ns <- st.Stats.clock.Stats.ns +. t.op_base_ns
 
-let set_sfence_extra_ns t ns = t.sfence_extra_ns <- ns
+let set_sfence_extra_ns t ns =
+  t.sfence_extra_ns <- ns;
+  t.sfence_cost <- t.cfg.Config.cost.Config.sfence_ns +. ns
+
 let advance_clock t ns = Stats.add_ns t.stats ns
 
 (* --- crash injection -------------------------------------------------- *)
@@ -729,7 +750,7 @@ let crash_with t ~choose =
   mirror_all t;
   Bytes.blit t.persisted 0 t.volatile 0 (Bytes.length t.persisted);
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
-  trace_event t Obs.Trace.Crash
+  if tracing t then trace_event t Obs.Trace.Crash
 
 let crash t rng =
   crash_with t ~choose:(fun ~line:_ ~nwrites -> Util.Rng.int rng (nwrites + 1))

@@ -54,7 +54,12 @@ val trace : t -> Obs.Trace.t
     {!trace_event}. *)
 
 val trace_event : t -> Obs.Trace.payload -> unit
-(** Record an event stamped with the current simulated time. *)
+(** Record an event stamped with the current simulated time. Guard hot
+    call sites with {!tracing}: building the payload and boxing the
+    timestamp allocate even when the ring is disabled. *)
+
+val tracing : t -> bool
+(** [Obs.Trace.enabled (trace t)]. *)
 
 val spans : t -> Obs.Span.t
 (** The region's span profiler, clocked by the simulated clock (wall
@@ -95,6 +100,28 @@ val write_int : t -> addr -> int -> unit
     {!read_i64} / {!write_i64} composed with [Int64.to_int] /
     [Int64.of_int] (bit 63 truncates), but never allocate a boxed
     [Int64]. [addr] must be 8-byte aligned for {!write_int}. *)
+
+val read_split : t -> addr -> int
+val split_top : t -> int
+(** Allocation-free load of a full 64-bit word whose bit 63 matters (the
+    epoch word's [logged] bit, the value InCLL's and the chunk header's
+    top 16 epoch bits). [read_split t addr] charges exactly like
+    {!read_i64} — one [reads] bump, one clock charge, one LLC probe, in
+    that order — and returns the word's low 48 bits; [split_top t]
+    returns its top 16 bits until the next [read_split] on [t]. *)
+
+val load_words : t -> addr -> Bytes.t -> pos:int -> words:int -> unit
+(** Copy [words] 8-byte words from [addr] into [buf] at [pos], charged
+    exactly like [words] successive {!read_i64} calls in address order
+    (one [reads] bump, one clock charge and one LLC probe per word). One
+    call instead of one per word: the way to scan a run of full words
+    without boxing them. *)
+
+val write_split : t -> addr -> top:int -> low:int -> unit
+(** Store the word whose top 16 bits are [top land 0xffff] and whose low
+    48 bits are [low land 0xffff_ffff_ffff]: byte-for-byte and
+    charge-for-charge {!write_i64} of that word, without boxing it.
+    [addr] must be 8-byte aligned. *)
 
 val compare_u64 : t -> addr -> hi:int -> lo:int -> int
 (** Unsigned comparison of the stored word at [addr] against the probe

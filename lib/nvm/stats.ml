@@ -1,10 +1,11 @@
-(* The simulated clock lives in its own single-field all-float record:
-   OCaml stores float fields of mixed records boxed, so a [mutable
-   sim_ns : float] directly in [t] would allocate a fresh box on every
-   clock charge — several times per simulated store/load. The nested
-   all-float record is flat and is updated in place, making [add_ns]
-   allocation-free on the hot paths. *)
-type clock = { mutable ns : float }
+(* The simulated clock lives in its own single-field all-float record
+   ({!Obs.Clock.t}): OCaml stores float fields of mixed records boxed, so
+   a [mutable sim_ns : float] directly in [t] would allocate a fresh box
+   on every clock charge — several times per simulated store/load. The
+   nested all-float record is flat and is updated in place, making
+   [add_ns] allocation-free on the hot paths; the region's stall ledger
+   reads the same record. *)
+type clock = Obs.Clock.t = { mutable ns : float }
 
 type t = {
   mutable writes : int;

@@ -7,7 +7,7 @@
     [ops / sim_seconds] and depends only on counted events — exactly the
     quantity the paper sweeps. *)
 
-type clock = { mutable ns : float }
+type clock = Obs.Clock.t = { mutable ns : float }
 (** The simulated clock, in its own all-float record so hot-path updates
     are unboxed in-place stores (a [mutable float] field in the mixed
     record below would allocate on every charge). *)

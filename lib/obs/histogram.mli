@@ -14,6 +14,14 @@ type t
 
 val create : unit -> t
 val record : t -> float -> unit
+(** Never allocates. *)
+
+val record_int : t -> int -> unit
+(** [record t (float_of_int n)] without boxing the float at the call
+    site. *)
+
+val record_elapsed : t -> since:Clock.t -> Clock.t -> unit
+(** [record t (clock.ns -. since.ns)], likewise without boxing. *)
 
 val count : t -> int
 val sum : t -> float

@@ -70,10 +70,14 @@ let dominant_cause entries ~t0 ~t1 =
     None all_causes
   |> Option.map fst
 
-let nil_entry = { cause = Epoch_advance; start_ns = 0.0; dur_ns = 0.0; epoch = 0 }
-
+(* The ring is kept as parallel arrays — cause indices, flat float
+   starts and durations, epochs — so admitting an entry allocates nothing;
+   {!entries} builds the records on demand. *)
 type t = {
-  buf : entry array;
+  causes : int array;
+  starts : float array;
+  durs : float array;
+  epochs : int array;
   mutable len : int;
   mutable next : int;  (* ring write cursor *)
   mutable admitted : int;
@@ -82,13 +86,14 @@ type t = {
   (* Outermost-wins scope state. *)
   mutable scope_depth : int;
   mutable scope_cause : cause;
-  mutable scope_start : float;
+  scope_start : Clock.t;  (* flat, so stamping it never boxes *)
+  clock : Clock.t;  (* stamps scopes and leaves *)
   hist : Histogram.t array;  (* per-cause durations, ncauses entries *)
   counts : int array;
   totals : float array;
 }
 
-let create ?(capacity = 1024) ?registry () =
+let create ?(capacity = 1024) ?registry ?(clock = Clock.create ()) () =
   let capacity = max 1 capacity in
   let hist =
     match registry with
@@ -100,7 +105,10 @@ let create ?(capacity = 1024) ?registry () =
     | None -> Array.init ncauses (fun _ -> Histogram.create ())
   in
   {
-    buf = Array.make capacity nil_entry;
+    causes = Array.make capacity 0;
+    starts = Array.make capacity 0.0;
+    durs = Array.make capacity 0.0;
+    epochs = Array.make capacity 0;
     len = 0;
     next = 0;
     admitted = 0;
@@ -108,7 +116,8 @@ let create ?(capacity = 1024) ?registry () =
     epoch = 0;
     scope_depth = 0;
     scope_cause = Epoch_advance;
-    scope_start = 0.0;
+    scope_start = Clock.create ();
+    clock;
     hist;
     counts = Array.make ncauses 0;
     totals = Array.make ncauses 0.0;
@@ -117,51 +126,89 @@ let create ?(capacity = 1024) ?registry () =
 let set_epoch t e = t.epoch <- e
 let set_min_dur_ns t ns = t.min_dur_ns <- ns
 
-let record t cause ~start_ns ~dur_ns =
-  let i = cause_index cause in
+(* Count, total and (past the admission filter) ring one stall of cause
+   index [i]; the caller has fed the histogram. Inlined, so its float
+   arguments are never boxed. *)
+let[@inline] admit t i start dur =
   t.counts.(i) <- t.counts.(i) + 1;
-  t.totals.(i) <- t.totals.(i) +. dur_ns;
-  Histogram.record t.hist.(i) dur_ns;
-  if dur_ns >= t.min_dur_ns then begin
-    t.buf.(t.next) <- { cause; start_ns; dur_ns; epoch = t.epoch };
-    t.next <- (t.next + 1) mod Array.length t.buf;
-    if t.len < Array.length t.buf then t.len <- t.len + 1;
+  t.totals.(i) <- t.totals.(i) +. dur;
+  if dur >= t.min_dur_ns then begin
+    let k = t.next in
+    t.causes.(k) <- i;
+    t.starts.(k) <- start;
+    t.durs.(k) <- dur;
+    t.epochs.(k) <- t.epoch;
+    t.next <- (k + 1) mod Array.length t.causes;
+    if t.len < Array.length t.causes then t.len <- t.len + 1;
     t.admitted <- t.admitted + 1
   end
 
-let enter t cause ~now =
+let record t cause ~start_ns ~dur_ns =
+  let i = cause_index cause in
+  Histogram.record t.hist.(i) dur_ns;
+  admit t i start_ns dur_ns
+
+(* Scopes read the clock themselves: a [~now:float] argument would box a
+   timestamp at every call site, and these run on every extlog append and
+   every slow allocation. *)
+let enter t cause =
   if t.scope_depth = 0 then begin
     t.scope_cause <- cause;
-    t.scope_start <- now
+    t.scope_start.Clock.ns <- t.clock.Clock.ns
   end;
   t.scope_depth <- t.scope_depth + 1
 
-let exit t ~now =
+let exit t =
   if t.scope_depth > 0 then begin
     t.scope_depth <- t.scope_depth - 1;
-    if t.scope_depth = 0 then
-      record t t.scope_cause ~start_ns:t.scope_start
-        ~dur_ns:(Float.max 0.0 (now -. t.scope_start))
+    if t.scope_depth = 0 then begin
+      let i = cause_index t.scope_cause in
+      Histogram.record_elapsed t.hist.(i) ~since:t.scope_start t.clock;
+      let start = t.scope_start.Clock.ns in
+      let dur = t.clock.Clock.ns -. start in
+      (* Not [Float.max]: a call into Stdlib would box both floats. *)
+      admit t i start (if dur < 0.0 then 0.0 else dur)
+    end
   end
 
 let in_scope t = t.scope_depth > 0
 
-let leaf t cause ~start_ns ~dur_ns =
-  if t.scope_depth = 0 then record t cause ~start_ns ~dur_ns
+let leaf t cause ~dur_ns =
+  if t.scope_depth = 0 then begin
+    let i = cause_index cause in
+    Histogram.record t.hist.(i) dur_ns;
+    admit t i (t.clock.Clock.ns -. dur_ns) dur_ns
+  end
 
 let length t = t.len
-let capacity t = Array.length t.buf
+let capacity t = Array.length t.causes
 let admitted t = t.admitted
 
-let entries t =
-  let cap = Array.length t.buf in
-  let first = (t.next - t.len + cap) mod cap in
-  List.init t.len (fun i -> t.buf.((first + i) mod cap))
+let cause_of = Array.of_list all_causes
 
+(* The ring entries whose interval meets [t0, t1), oldest first. Records
+   are built for those only, and the test is inline rather than a
+   closure over two floats: the server asks on every request. *)
 let overlapping t ~t0 ~t1 =
-  List.filter
-    (fun e -> e.start_ns < t1 && e.start_ns +. e.dur_ns > t0)
-    (entries t)
+  let cap = Array.length t.causes in
+  let first = t.next - t.len + cap in
+  let acc = ref [] in
+  for j = t.len - 1 downto 0 do
+    let k = (first + j) mod cap in
+    let start = t.starts.(k) in
+    if start < t1 && start +. t.durs.(k) > t0 then
+      acc :=
+        {
+          cause = cause_of.(t.causes.(k));
+          start_ns = t.starts.(k);
+          dur_ns = t.durs.(k);
+          epoch = t.epochs.(k);
+        }
+        :: !acc
+  done;
+  !acc
+
+let entries t = overlapping t ~t0:neg_infinity ~t1:infinity
 
 let counts t = List.map (fun c -> (c, t.counts.(cause_index c))) all_causes
 

@@ -64,10 +64,13 @@ val dominant_cause : entry list -> t0:float -> t1:float -> cause option
 
 type t
 
-val create : ?capacity:int -> ?registry:Registry.t -> unit -> t
+val create :
+  ?capacity:int -> ?registry:Registry.t -> ?clock:Clock.t -> unit -> t
 (** Ring of at most [capacity] (default 1024) entries. When [registry] is
     given, per-cause [stall.<cause>_ns] histograms are created in it so
-    stall durations surface through the ordinary metrics pipeline. *)
+    stall durations surface through the ordinary metrics pipeline.
+    [clock] (default: a private clock at 0) stamps {!enter}, {!exit} and
+    {!leaf}; a region passes its simulated clock. *)
 
 val set_epoch : t -> int -> unit
 (** Stamp subsequent entries with this epoch (the epoch manager owns the
@@ -81,21 +84,23 @@ val set_min_dur_ns : t -> float -> unit
 val record : t -> cause -> start_ns:float -> dur_ns:float -> unit
 (** Record one stall directly (tests / out-of-band sites). *)
 
-val enter : t -> cause -> now:float -> unit
-(** Open a scope at simulated time [now]. Nested calls only bump a depth
-    counter — the outermost cause wins. *)
+val enter : t -> cause -> unit
+(** Open a scope at the clock's current time. Nested calls only bump a
+    depth counter — the outermost cause wins. Never allocates. *)
 
-val exit : t -> now:float -> unit
+val exit : t -> unit
 (** Close the innermost scope; when the outermost closes, one entry is
-    recorded spanning [enter]'s [now] to this [now]. Unbalanced [exit]
-    (no open scope) is a no-op. *)
+    recorded spanning [enter]'s time to the clock's current time.
+    Unbalanced [exit] (no open scope) is a no-op. Allocates only when it
+    records an entry. *)
 
 val in_scope : t -> bool
 (** True while any scope is open (leaf recordings are suppressed). *)
 
-val leaf : t -> cause -> start_ns:float -> dur_ns:float -> unit
-(** Record a point stall unless a scope is open (in which case the open
-    scope already accounts for this time). *)
+val leaf : t -> cause -> dur_ns:float -> unit
+(** Record a point stall of [dur_ns] ending at the clock's current time,
+    unless a scope is open (in which case the open scope already accounts
+    for this time). *)
 
 val length : t -> int
 (** Entries currently held in the ring. *)

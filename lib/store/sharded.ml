@@ -56,9 +56,7 @@ let shard_of_key t key =
   let n = Array.length t.shards in
   if n = 1 then 0
   else begin
-    let bits = (Masstree.Key.slice_at key ~layer:0).Masstree.Key.bits in
-    let top = Int64.to_int (Int64.shift_right_logical bits 32) in
-    (top * n) lsr 32
+    (Masstree.Key.slice_hi key ~layer:0 * n) lsr 32
   end
 
 let put t ~key ~value =

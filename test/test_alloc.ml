@@ -1,5 +1,11 @@
 (* Tests for the durable allocator (§5) and the transient baselines. *)
 
+(* Decode a chunk header into a fresh view. *)
+let read_header r ~chunk =
+  let v = Alloc.Chunk_header.view () in
+  Alloc.Chunk_header.read r ~chunk v;
+  v
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -52,7 +58,7 @@ let header_roundtrip () =
   ignore em;
   let chunk = 64 * 1024 in
   Alloc.Chunk_header.init r ~chunk ~epoch:0xABCD1234 ~cls:9;
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check_int "next" 0 d.Alloc.Chunk_header.next;
   check_int "epoch" 0xABCD1234 d.Alloc.Chunk_header.epoch;
   check_int "class" 9 d.Alloc.Chunk_header.size_class;
@@ -65,7 +71,7 @@ let header_first_touch_bumps_counter () =
   Alloc.Chunk_header.write_next r ~chunk ~next:(64 * 2048);
   Alloc.Chunk_header.write_first_touch r ~chunk ~current_next:(64 * 2048)
     ~epoch:6 ~cls:2;
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check_int "incll copies next" (64 * 2048) d.Alloc.Chunk_header.next_incll;
   check_int "epoch updated" 6 d.Alloc.Chunk_header.epoch;
   check "ctrs match" true d.Alloc.Chunk_header.ctr_matches
@@ -80,10 +86,10 @@ let header_torn_write_detected () =
   Alloc.Chunk_header.write_first_touch r ~chunk ~current_next:0 ~epoch:6 ~cls:2;
   Nvm.Region.crash_with r ~choose:(fun ~line ~nwrites:_ ->
       if line = chunk / 64 then 1 (* only word1's store *) else 0);
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check "torn detected" false d.Alloc.Chunk_header.ctr_matches;
   Alloc.Chunk_header.restore r ~chunk ~marker_epoch:7;
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check "restored consistent" true d.Alloc.Chunk_header.ctr_matches;
   check_int "next from incll" 0 d.Alloc.Chunk_header.next;
   check_int "class preserved" 2 d.Alloc.Chunk_header.size_class
@@ -98,7 +104,7 @@ let header_encoding_property =
       Alloc.Chunk_header.init region ~chunk ~epoch ~cls;
       Alloc.Chunk_header.write_first_touch region ~chunk ~current_next:ptr
         ~epoch ~cls;
-      let d = Alloc.Chunk_header.read region ~chunk in
+      let d = read_header region ~chunk in
       d.Alloc.Chunk_header.next = ptr
       && d.Alloc.Chunk_header.epoch = epoch land 0xFFFFFFFF
       && d.Alloc.Chunk_header.size_class = cls)

@@ -2,6 +2,12 @@
    allocator cycle guard and quarantine, the torn-restore (chimera
    epoch) regression, the oracle, and crash-during-recovery schedules. *)
 
+(* Decode a chunk header into a fresh view. *)
+let read_header r ~chunk =
+  let v = Alloc.Chunk_header.view () in
+  Alloc.Chunk_header.read r ~chunk v;
+  v
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
@@ -145,12 +151,12 @@ let torn_restore_is_visible () =
   (* Adversarial crash: persist exactly the first pending store of every
      dirty line — for the header line that is word1 alone. *)
   Nvm.Region.crash_with r ~choose:(fun ~line:_ ~nwrites:_ -> 1);
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check "torn restore reads as mismatch" false d.Alloc.Chunk_header.ctr_matches;
   (* Re-running restore (what recovery does on a mismatch) converges. *)
   Alloc.Chunk_header.restore r ~chunk ~marker_epoch:7;
   Nvm.Region.crash_persist_all r;
-  let d = Alloc.Chunk_header.read r ~chunk in
+  let d = read_header r ~chunk in
   check "restore idempotent" true d.Alloc.Chunk_header.ctr_matches;
   check_int "epoch restamped" 7 d.Alloc.Chunk_header.epoch
 

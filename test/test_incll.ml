@@ -34,13 +34,14 @@ let counters s =
 let leaf_of s key =
   let region = Sys_.region s in
   let tree = Sys_.tree s in
-  let slice = (Masstree.Key.slice_at key ~layer:0).Masstree.Key.bits in
+  let hi = Masstree.Key.slice_hi key ~layer:0
+  and lo = Masstree.Key.slice_lo key ~layer:0 in
   let rec descend node =
     if L.is_leaf_node region node then node
     else
       descend
         (Masstree.Internal.child region node
-           ~i:(Masstree.Internal.search_child region node ~slice))
+           ~i:(Masstree.Internal.search_child region node ~hi ~lo))
   in
   descend (Masstree.Tree.root tree)
 
@@ -68,7 +69,7 @@ let first_touch_saves_permutation () =
   let ew = L.epoch_word region leaf in
   check "stamped with current epoch" true
     (match Sys_.epoch_manager s with
-    | Some em -> ew.EW.epoch = Epoch.Manager.current em
+    | Some em -> EW.epoch ew = Epoch.Manager.current em
     | None -> false);
   check_int "no external logging" logged_before (Sys_.nodes_logged s);
   check "no draining fence on the leaf path" true
@@ -129,13 +130,13 @@ let mixed_remove_insert_logs () =
   let leaf = leaf_of s k in
   ignore (Sys_.remove s ~key:k);
   let region = Sys_.region s in
-  check "insAllowed cleared" false (L.epoch_word region leaf).EW.ins_allowed;
+  check "insAllowed cleared" false (EW.ins_allowed (L.epoch_word region leaf));
   let before = (counters s).Incll.Ctx.ext_fallback_mixed in
   (* Re-insert a key that lands in the same leaf. *)
   Sys_.put s ~key:k ~value:"back-in!";
   check "mixed fallback logged" true
     ((counters s).Incll.Ctx.ext_fallback_mixed > before);
-  check "node marked logged" true (L.epoch_word region leaf).EW.logged
+  check "node marked logged" true (EW.logged (L.epoch_word region leaf))
 
 let insert_then_remove_stays_incll () =
   let s = mk () in
@@ -168,19 +169,18 @@ let update_uses_val_incll () =
   let k = key8 7 in
   let leaf = leaf_of s k in
   let region = Sys_.region s in
-  let slice = (Masstree.Key.slice_at k ~layer:0).Masstree.Key.bits in
   let rank =
-    match L.find region leaf ~slice ~keylen:8 with
-    | L.Found r -> r
-    | L.Insert_before _ -> Alcotest.fail "key must exist"
+    L.find region leaf ~hi:(Masstree.Key.slice_hi k ~layer:0)
+      ~lo:(Masstree.Key.slice_lo k ~layer:0) ~keylen:8
   in
+  if rank < 0 then Alcotest.fail "key must exist";
   let slot = Masstree.Permutation.slot_at_rank (L.perm region leaf) rank in
   let old_val = L.value region leaf ~slot in
   let before = Sys_.nodes_logged s in
   Sys_.put s ~key:k ~value:"updated!";
-  let d = V.unpack (L.incll region leaf ~slot) in
-  check_int "InCLL logs the slot" slot d.V.idx;
-  check_int "InCLL holds the pre-image pointer" old_val d.V.ptr;
+  let low = L.incll region leaf ~which:(L.incll_which slot) in
+  check_int "InCLL logs the slot" slot (V.idx low);
+  check_int "InCLL holds the pre-image pointer" old_val (V.ptr low);
   check_int "no external log" before (Sys_.nodes_logged s);
   check "new value visible" true (Sys_.get s ~key:k = Some "updated!")
 

@@ -36,12 +36,12 @@ let search_child_routing () =
   let r, a = mk () in
   let n = I.create a r ~layer:0 in
   build r n [ 10; 20; 30 ] [ 100; 101; 102; 103 ];
-  check_int "below first" 0 (I.search_child r n ~slice:5L);
+  check_int "below first" 0 (I.search_child r n ~hi:0 ~lo:5);
   (* Separator semantics: keys >= sep go right. *)
-  check_int "equal first" 1 (I.search_child r n ~slice:10L);
-  check_int "between" 1 (I.search_child r n ~slice:15L);
-  check_int "equal middle" 2 (I.search_child r n ~slice:20L);
-  check_int "above last" 3 (I.search_child r n ~slice:35L)
+  check_int "equal first" 1 (I.search_child r n ~hi:0 ~lo:10);
+  check_int "between" 1 (I.search_child r n ~hi:0 ~lo:15);
+  check_int "equal middle" 2 (I.search_child r n ~hi:0 ~lo:20);
+  check_int "above last" 3 (I.search_child r n ~hi:0 ~lo:35)
 
 let insert_separator_shifts () =
   let r, a = mk () in

@@ -43,13 +43,20 @@ let min_dur_filters_ring_not_totals () =
     (List.assoc Obs.Stall.Clwb_sweep (Obs.Stall.totals_ns t) = 70.0)
 
 let outermost_scope_wins () =
-  let t = Obs.Stall.create () in
-  Obs.Stall.enter t Obs.Stall.Epoch_advance ~now:1000.0;
+  let clock = Obs.Clock.create () in
+  let t = Obs.Stall.create ~clock () in
+  let at ns = clock.Obs.Clock.ns <- ns in
+  at 1000.0;
+  Obs.Stall.enter t Obs.Stall.Epoch_advance;
   (* Nested scope and a leaf inside it: both swallowed. *)
-  Obs.Stall.enter t Obs.Stall.Extlog ~now:1100.0;
-  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~start_ns:1150.0 ~dur_ns:10.0;
-  Obs.Stall.exit t ~now:1200.0;
-  Obs.Stall.exit t ~now:1500.0;
+  at 1100.0;
+  Obs.Stall.enter t Obs.Stall.Extlog;
+  at 1160.0;
+  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~dur_ns:10.0;
+  at 1200.0;
+  Obs.Stall.exit t;
+  at 1500.0;
+  Obs.Stall.exit t;
   (match Obs.Stall.entries t with
   | [ e ] ->
       check "root cause" true (e.Obs.Stall.cause = Obs.Stall.Epoch_advance);
@@ -57,8 +64,12 @@ let outermost_scope_wins () =
         (e.Obs.Stall.start_ns = 1000.0 && e.Obs.Stall.dur_ns = 500.0)
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
   (* Outside any scope the leaf records normally. *)
-  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~start_ns:2000.0 ~dur_ns:10.0;
-  check_int "free-standing leaf recorded" 2 (Obs.Stall.length t)
+  at 2010.0;
+  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~dur_ns:10.0;
+  check_int "free-standing leaf recorded" 2 (Obs.Stall.length t);
+  (match List.rev (Obs.Stall.entries t) with
+  | e :: _ -> check "leaf ends now" true (e.Obs.Stall.start_ns = 2000.0)
+  | [] -> Alcotest.fail "no entries")
 
 (* Every cause must have a distinct, stable name: the names are the
    stall.<cause>_ns metric suffixes, the Perfetto slice names and the

@@ -60,17 +60,17 @@ let create_initialises () =
   check_int "layer" 3 (L.layer r leaf);
   check_int "empty" 0 (L.entry_count r leaf);
   let ew = L.epoch_word r leaf in
-  check_int "epoch" 7 ew.EW.epoch;
-  check "insAllowed" true ew.EW.ins_allowed;
-  check "not logged" false ew.EW.logged;
-  check "incll1 invalid" true (V.is_invalid (L.incll_by_index r leaf ~which:0));
-  check "incll2 invalid" true (V.is_invalid (L.incll_by_index r leaf ~which:1));
+  check_int "epoch" 7 (EW.epoch ew);
+  check "insAllowed" true (EW.ins_allowed ew);
+  check "not logged" false (EW.logged ew);
+  check "incll1 invalid" true (V.is_invalid (L.incll r leaf ~which:0));
+  check "incll2 invalid" true (V.is_invalid (L.incll r leaf ~which:1));
   check_int "next null" 0 (L.next r leaf)
 
 let field_accessors_roundtrip () =
   let r, a = mk () in
   let leaf = L.create a r ~layer:0 ~epoch:2 in
-  L.set_key r leaf ~slot:5 0xDEADBEEFL;
+  L.set_key r leaf ~slot:5 ~hi:0 ~lo:0xDEADBEEF;
   Alcotest.(check int64) "key" 0xDEADBEEFL (L.key r leaf ~slot:5);
   L.set_keylen r leaf ~slot:5 8;
   check_int "keylen" 8 (L.keylen r leaf ~slot:5);
@@ -86,18 +86,23 @@ let field_accessors_roundtrip () =
 let val_incll_roundtrip =
   QCheck.Test.make ~name:"ValInCLL pack/unpack" ~count:1000
     QCheck.(triple (int_bound 1_000_000) (int_bound 14) (int_bound 0xffff))
-    (fun (p16, idx, low) ->
+    (fun (p16, idx, low_epoch) ->
+      let r, a = mk () in
+      let leaf = L.create a r ~layer:0 ~epoch:2 in
       let ptr = p16 * 16 in
-      let d = V.unpack (V.pack ~ptr ~idx ~low_epoch:low) in
-      d.V.ptr = ptr && d.V.idx = idx && d.V.low_epoch = low)
+      L.set_incll r leaf ~which:1 ~low_epoch ~low:(V.pack ~ptr ~idx);
+      let low = L.incll r leaf ~which:1 in
+      V.ptr low = ptr && V.idx low = idx
+      && Nvm.Region.split_top r = low_epoch)
 
 let val_incll_invalid () =
-  let w = V.invalid ~low_epoch:0x1234 in
-  check "invalid" true (V.is_invalid w);
-  check_int "keeps epoch" 0x1234 (V.unpack w).V.low_epoch;
+  let r, a = mk () in
+  let leaf = L.create a r ~layer:0 ~epoch:0x51234 in
+  check "invalid" true (V.is_invalid (L.incll r leaf ~which:0));
+  check_int "keeps epoch" 0x1234 (Nvm.Region.split_top r);
   check "unaligned ptr rejected" true
     (try
-       ignore (V.pack ~ptr:7 ~idx:0 ~low_epoch:0);
+       ignore (V.pack ~ptr:7 ~idx:0);
        false
      with Invalid_argument _ -> true)
 
@@ -105,8 +110,9 @@ let epoch_word_roundtrip =
   QCheck.Test.make ~name:"epoch word pack/unpack" ~count:1000
     QCheck.(triple (int_bound 0x3FFFFFFF) bool bool)
     (fun (epoch, ins, logged) ->
-      let d = EW.unpack (EW.pack ~epoch ~ins_allowed:ins ~logged) in
-      d.EW.epoch = epoch && d.EW.ins_allowed = ins && d.EW.logged = logged)
+      let w = EW.make ~epoch ~ins_allowed:ins ~logged in
+      let w = EW.of_split ~top:(EW.split_top w) ~low:(EW.split_low w) in
+      EW.epoch w = epoch && EW.ins_allowed w = ins && EW.logged w = logged)
 
 (* --- search -------------------------------------------------------------- *)
 
@@ -117,29 +123,21 @@ let find_in_sorted_leaf () =
   let p = ref Masstree.Permutation.empty in
   List.iteri
     (fun i v ->
-      let p', slot = Masstree.Permutation.insert !p ~rank:i in
-      p := p';
-      L.set_key r leaf ~slot (Int64.of_int v);
+      p := Masstree.Permutation.insert !p ~rank:i;
+      let slot = Masstree.Permutation.slot_at_rank !p i in
+      L.set_key r leaf ~slot ~hi:0 ~lo:v;
       L.set_keylen r leaf ~slot 8;
       L.set_value r leaf ~slot (v * 16))
     [ 10; 20; 30 ];
   L.set_perm r leaf !p;
-  (match L.find r leaf ~slice:20L ~keylen:8 with
-  | L.Found rank -> check_int "found at rank 1" 1 rank
-  | L.Insert_before _ -> Alcotest.fail "should find 20");
-  (match L.find r leaf ~slice:25L ~keylen:8 with
-  | L.Insert_before rank -> check_int "between 20 and 30" 2 rank
-  | L.Found _ -> Alcotest.fail "25 absent");
-  (match L.find r leaf ~slice:5L ~keylen:8 with
-  | L.Insert_before rank -> check_int "before all" 0 rank
-  | L.Found _ -> Alcotest.fail "5 absent");
-  (match L.find r leaf ~slice:40L ~keylen:8 with
-  | L.Insert_before rank -> check_int "after all" 3 rank
-  | L.Found _ -> Alcotest.fail "40 absent");
+  let find lo ~keylen = L.find r leaf ~hi:0 ~lo ~keylen in
+  check_int "found at rank 1" 1 (find 20 ~keylen:8);
+  (* Absent: [lnot] of the insertion rank. *)
+  check_int "between 20 and 30" 2 (lnot (find 25 ~keylen:8));
+  check_int "before all" 0 (lnot (find 5 ~keylen:8));
+  check_int "after all" 3 (lnot (find 40 ~keylen:8));
   (* Same slice, different keylen is a distinct entry. *)
-  match L.find r leaf ~slice:20L ~keylen:4 with
-  | L.Insert_before rank -> check_int "shorter sorts before" 1 rank
-  | L.Found _ -> Alcotest.fail "(20,4) absent"
+  check_int "shorter sorts before" 1 (lnot (find 20 ~keylen:4))
 
 let tests =
   ( "leaf",

@@ -66,11 +66,11 @@ let fresh_leaf s =
   (* Give slots 2 and 9 (one per value line) plausible entries. *)
   let p = ref Masstree.Permutation.empty in
   for _ = 1 to 10 do
-    p := fst (Masstree.Permutation.insert !p ~rank:0)
+    p := Masstree.Permutation.insert !p ~rank:0
   done;
   L.set_perm region leaf !p;
   for slot = 0 to 9 do
-    L.set_key region leaf ~slot (Int64.of_int (100 + slot));
+    L.set_key region leaf ~slot ~hi:0 ~lo:(100 + slot);
     L.set_keylen region leaf ~slot 8;
     L.set_value region leaf ~slot (Alloc.Durable.alloc dalloc ~size:32)
   done;
@@ -83,18 +83,16 @@ let install_state s leaf ~rel ~logged ~ins_allowed ~incll1_idx =
   let e =
     match rel with Same -> g | Prev -> g - 1 | Prev_window -> g - 65_536
   in
-  L.set_epoch_word region leaf { EW.epoch = e; ins_allowed; logged };
+  L.set_epoch_word region leaf (EW.make ~epoch:e ~ins_allowed ~logged);
   L.set_perm_incll region leaf (L.perm region leaf);
-  let w =
+  let low =
     match incll1_idx with
-    | None -> V.invalid ~low_epoch:(Epoch.Manager.lower16 e)
-    | Some idx ->
-        V.pack ~ptr:(L.value region leaf ~slot:idx) ~idx
-          ~low_epoch:(Epoch.Manager.lower16 e)
+    | None -> V.invalid
+    | Some idx -> V.pack ~ptr:(L.value region leaf ~slot:idx) ~idx
   in
-  L.set_incll_by_index region leaf ~which:0 w;
-  L.set_incll_by_index region leaf ~which:1
-    (V.invalid ~low_epoch:(Epoch.Manager.lower16 e))
+  let low_epoch = Epoch.Manager.lower16 e in
+  L.set_incll region leaf ~which:0 ~low_epoch ~low;
+  L.set_incll region leaf ~which:1 ~low_epoch ~low:V.invalid
 
 (* Observe which action one hook call takes. *)
 let observe s (f : Masstree.Hooks.t -> unit) =

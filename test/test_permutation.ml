@@ -15,10 +15,10 @@ let empty_is_valid () =
     (P.free_slots P.empty)
 
 let insert_at_front () =
-  let p, s0 = P.insert P.empty ~rank:0 in
-  check_int "slot 0 first" 0 s0;
-  let p, s1 = P.insert p ~rank:0 in
-  check_int "slot 1 second" 1 s1;
+  let p = P.insert P.empty ~rank:0 in
+  check_int "slot 0 first" 0 (P.slot_at_rank p 0);
+  let p = P.insert p ~rank:0 in
+  check_int "slot 1 second" 1 (P.slot_at_rank p 0);
   Alcotest.(check (list int)) "order" [ 1; 0 ] (P.active_slots p);
   check "valid" true (P.is_valid p)
 
@@ -26,8 +26,7 @@ let insert_until_full () =
   let p = ref P.empty in
   for i = 0 to P.width - 1 do
     check "not full" false (P.is_full !p);
-    let p', _ = P.insert !p ~rank:i in
-    p := p'
+    p := P.insert !p ~rank:i
   done;
   check "full" true (P.is_full !p);
   check "insert on full raises" true
@@ -37,9 +36,11 @@ let insert_until_full () =
      with Invalid_argument _ -> true)
 
 let remove_restores_slot_to_free () =
-  let p, s = P.insert P.empty ~rank:0 in
-  let p, _ = P.insert p ~rank:1 in
-  let p, removed = P.remove p ~rank:0 in
+  let p = P.insert P.empty ~rank:0 in
+  let s = P.slot_at_rank p 0 in
+  let p = P.insert p ~rank:1 in
+  let removed = P.slot_at_rank p 0 in
+  let p = P.remove p ~rank:0 in
   check_int "removed the slot" s removed;
   check_int "count" 1 (P.count p);
   check "slot free again" true (List.mem s (P.free_slots p));
@@ -65,8 +66,8 @@ let model_property =
           if is_insert then begin
             if not (P.is_full !p) then begin
               let rank = pos mod (List.length !model + 1) in
-              let p', slot = P.insert !p ~rank in
-              p := p';
+              p := P.insert !p ~rank;
+              let slot = P.slot_at_rank !p rank in
               let rec ins l i =
                 if i = 0 then slot :: l
                 else match l with [] -> [ slot ] | x :: r -> x :: ins r (i - 1)
@@ -76,8 +77,8 @@ let model_property =
           end
           else if !model <> [] then begin
             let rank = pos mod List.length !model in
-            let p', slot = P.remove !p ~rank in
-            p := p';
+            let slot = P.slot_at_rank !p rank in
+            p := P.remove !p ~rank;
             assert (slot = List.nth !model rank);
             model := List.filteri (fun i _ -> i <> rank) !model
           end)
@@ -101,8 +102,9 @@ let single_word_undo_property =
       List.iter
         (fun r ->
           if not (P.is_full !p0) then begin
-            let p', slot = P.insert !p0 ~rank:(r mod (P.count !p0 + 1)) in
-            p0 := p';
+            let rank = r mod (P.count !p0 + 1) in
+            p0 := P.insert !p0 ~rank;
+            let slot = P.slot_at_rank !p0 rank in
             incr stamp;
             contents.(slot) <- !stamp
           end)
@@ -119,14 +121,15 @@ let single_word_undo_property =
           if is_insert then begin
             if not (P.is_full !p) then begin
               if !removed then mixed := true;
-              let p', slot = P.insert !p ~rank:(pos mod (P.count !p + 1)) in
-              p := p';
+              let rank = pos mod (P.count !p + 1) in
+              p := P.insert !p ~rank;
+              let slot = P.slot_at_rank !p rank in
               incr stamp;
               contents.(slot) <- !stamp
             end
           end
           else if P.count !p > 0 then begin
-            p := fst (P.remove !p ~rank:(pos mod P.count !p));
+            p := P.remove !p ~rank:(pos mod P.count !p);
             removed := true
           end)
         ops;

@@ -1,7 +1,8 @@
 (* Differential test for the allocation-free fast paths of [Nvm.Region].
 
    The fast accessors (fused-check [write_i64]/[read_i64], the tagged-int
-   [write_int]/[read_int], [write_string]/[read_string] and the unboxed
+   [write_int]/[read_int], the split-word [write_split]/[read_split], the
+   word-run [load_words], [write_string]/[read_string] and the unboxed
    [compare_u64]) must be observationally identical to the generic
    byte-wise path ([write_bytes]/[read_bytes] composed with [Int64] and
    string conversions): same volatile bytes, same persisted image, same
@@ -78,7 +79,7 @@ let assert_same ~at f g =
 (* One random op applied to both regions; F takes the fast path, G the
    generic byte-wise one. *)
 let step rng f g =
-  match Util.Rng.int rng 11 with
+  match Util.Rng.int rng 14 with
   | 0 ->
       let addr = word_addr rng and v = rand_i64 rng in
       Region.write_i64 f addr v;
@@ -134,6 +135,32 @@ let step rng f g =
       let addr = byte_addr rng in
       Region.clwb f addr;
       Region.clwb g addr
+  | 10 ->
+      let addr = word_addr rng and v = rand_i64 rng in
+      Region.write_split f addr
+        ~top:(Int64.to_int (Int64.shift_right_logical v 48))
+        ~low:(Int64.to_int v land 0xffff_ffff_ffff);
+      Region.write_bytes g addr (le8 v)
+  | 11 ->
+      let addr = word_addr rng in
+      let low = Region.read_split f addr in
+      let v =
+        Int64.logor
+          (Int64.shift_left (Int64.of_int (Region.split_top f)) 48)
+          (Int64.of_int low)
+      in
+      check "read_split = read_bytes" true
+        (v = i64_of_le (Region.read_bytes g addr ~len:8))
+  | 12 ->
+      (* A run of words loads like one read_i64 per word. *)
+      let addr = word_addr rng and words = 1 + Util.Rng.int rng 24 in
+      let buf = Bytes.create (8 * words) in
+      Region.load_words f addr buf ~pos:0 ~words;
+      for k = 0 to words - 1 do
+        check "load_words = read_bytes per word" true
+          (Bytes.get_int64_le buf (8 * k)
+          = i64_of_le (Region.read_bytes g (addr + (8 * k)) ~len:8))
+      done
   | _ ->
       Region.sfence f;
       Region.sfence g

@@ -105,30 +105,6 @@ let scramble_distinct () =
     Hashtbl.replace seen k ()
   done
 
-(* --- Bits -------------------------------------------------------------- *)
-
-let bits_roundtrip =
-  QCheck.Test.make ~name:"bits set/get roundtrip" ~count:1000
-    QCheck.(triple int64 (int_bound 55) (int_range 1 8))
-    (fun (x, lo, width) ->
-      let v = Int64.logand 0x5aL (Util.Bits.mask width) in
-      Util.Bits.get (Util.Bits.set x ~lo ~width v) ~lo ~width = v)
-
-let bits_set_preserves_others () =
-  let x = 0x1234_5678_9abc_def0L in
-  let y = Util.Bits.set x ~lo:16 ~width:8 0xffL in
-  Alcotest.(check int64) "below untouched"
-    (Util.Bits.get x ~lo:0 ~width:16)
-    (Util.Bits.get y ~lo:0 ~width:16);
-  Alcotest.(check int64) "above untouched"
-    (Util.Bits.get x ~lo:24 ~width:40)
-    (Util.Bits.get y ~lo:24 ~width:40)
-
-let bits_popcount () =
-  check_int "popcount 0" 0 (Util.Bits.popcount 0L);
-  check_int "popcount -1" 64 (Util.Bits.popcount (-1L));
-  check_int "popcount 0xf0" 4 (Util.Bits.popcount 0xf0L)
-
 (* --- Ivec -------------------------------------------------------------- *)
 
 let ivec_push_get () =
@@ -181,9 +157,6 @@ let tests =
       Alcotest.test_case "zipf popularity order" `Quick zipf_monotone_popularity;
       QCheck_alcotest.to_alcotest scramble_invertible;
       Alcotest.test_case "scramble distinct" `Quick scramble_distinct;
-      QCheck_alcotest.to_alcotest bits_roundtrip;
-      Alcotest.test_case "bits set preserves others" `Quick bits_set_preserves_others;
-      Alcotest.test_case "bits popcount" `Quick bits_popcount;
       Alcotest.test_case "ivec push/get" `Quick ivec_push_get;
       Alcotest.test_case "ivec swap_remove" `Quick ivec_swap_remove;
       Alcotest.test_case "table cells" `Quick table_cells;
