@@ -59,7 +59,10 @@ chaos: build
 # checks every committed transaction is all-or-nothing after each
 # crash), plus a deterministic schedule that crashes at each txn
 # protocol site — mid-PREPARE, just before the watermark store, during
-# epoch rollback, and inside recovery's in-doubt resolution.
+# epoch rollback, and inside recovery's in-doubt resolution — then once
+# more at the end-of-recovery checkpoint, after txn redo has appended
+# records, so the next recovery's live log prefix spans both the failed
+# epoch and the recovery epoch.
 chaos-txn: build
 	dune exec bin/chaos.exe -- --seeds $(CHAOS_SEEDS) --ops 8000 \
 	  --txn-period 10 --crash-period 500 \
@@ -69,7 +72,7 @@ chaos-txn: build
 	  --json _build/chaos_txn4.json
 	dune exec bin/chaos.exe -- --seeds 3,9 --ops 3000 --shards 4 \
 	  --txn-period 8 --crash-period 0 \
-	  --schedule "txn_prepare:1,txn_commit_record:1,txn_rollback:1,recover.txn_resolve:1" \
+	  --schedule "txn_prepare:1,txn_commit_record:1,txn_rollback:1,recover.txn_resolve:1,recover.checkpoint:1" \
 	  --json _build/chaos_txn_sched.json
 
 bench-gate:

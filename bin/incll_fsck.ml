@@ -73,28 +73,54 @@ let () =
   Printf.printf "  durable epoch     : %d (crashed mid-epoch; will roll back)\n"
     durable_epoch;
   Printf.printf "  failed epochs     : %d recorded\n" failed_count;
-  (* Transaction records, scanned on the raw image before recovery
-     truncates the log: a PREPARE whose id is above the durable
-     watermark is dangling (in doubt) — recovery will roll it back. *)
+  (* The external log as recovery reads it: its live prefix depends on
+     the failed-epoch set recovery computes, so run recovery's epoch open
+     and log pass on a second copy of the image (the epoch open durably
+     enters a recovery epoch, which must happen only once on the copy
+     recovered below). Entries after the prefix are stale: recovery never
+     reads them. A live PREPARE whose id is above the durable watermark
+     is dangling (in doubt) — recovery will roll it back. *)
   let wm = Incll.Txn.watermark region in
   Printf.printf "  txn watermark     : %d\n" wm;
-  let log = Extlog.Log.attach region in
+  let log_region = Nvm.Image.load cfg.Sys_.nvm ~path in
+  let em = Epoch.Manager.open_after_crash log_region in
+  let log = Extlog.Log.attach log_region in
+  let live = Extlog.Log.replay log ~is_failed:(Epoch.Manager.is_failed em) in
+  let live_records = List.length live.Extlog.Log.records in
+  let live_entries = live.Extlog.Log.applied + live_records in
+  let intact = ref 0 and all_records = ref 0 in
+  Extlog.Log.scan_entries log (fun ~kind:_ ~epoch:_ ~addr:_ ~size:_ ->
+      incr intact);
+  Extlog.Log.fold_all_records log (fun _ -> incr all_records);
+  Printf.printf "  live log prefix   : %d entries, %d bytes (%.1f%% of %d)\n"
+    live_entries (Extlog.Log.used log)
+    (100.0 *. float_of_int (Extlog.Log.used log)
+    /. float_of_int (Extlog.Log.capacity log))
+    (Extlog.Log.capacity log);
+  Printf.printf "  stale entries     : %d intact after the prefix (never read)\n"
+    (!intact - live_entries);
   let prepares = ref 0 and dangling = ref 0 and commits = ref 0 in
-  Extlog.Log.fold_all_records log (fun ~kind ~epoch:_ ~txn_id ~payload:_ ->
+  List.iter
+    (fun { Extlog.Log.kind; txn_id; _ } ->
       if kind = Extlog.Log.kind_txn_prepare then begin
         incr prepares;
         if txn_id > wm then incr dangling
       end
-      else if kind = Extlog.Log.kind_txn_commit then incr commits);
+      else if kind = Extlog.Log.kind_txn_commit then incr commits)
+    live.Extlog.Log.records;
   if !prepares > 0 || !commits > 0 then begin
-    Printf.printf "  txn records       : %d PREPARE, %d commit marker(s)\n"
+    Printf.printf
+      "  txn records       : %d PREPARE, %d commit marker(s) in the prefix\n"
       !prepares !commits;
     if !dangling > 0 then
       Printf.printf
         "  dangling PREPAREs : %d in doubt (recovery rolls them back)\n"
         !dangling
   end
-  else Printf.printf "  txn records       : none\n";
+  else Printf.printf "  txn records       : none in the prefix\n";
+  if !all_records > live_records then
+    Printf.printf "  stale records     : %d txn/session record(s), ignored\n"
+      (!all_records - live_records);
   (* Recover on the in-memory copy. *)
   let sys =
     try Sys_.attach ~config:cfg !variant region

@@ -342,14 +342,16 @@ let recover_region ?txn_probe ~variant ~config region =
         Epoch.Manager.open_after_crash ~epoch_len_ns:config.epoch_len_ns region)
   in
   let log = Extlog.Log.attach region in
-  (* Replay the external log (order-independent entries, §4.3). *)
-  let replayed =
+  (* Replay the external log's live prefix in one pass (order-independent
+     entries, §4.3): node images go home, the txn and session records
+     come back for resolution below, and the append cursor is parked past
+     the prefix so recovery-time appends (txn redo) cannot overwrite what
+     a crash during recovery would replay again. *)
+  let replay =
     phase "recover.extlog_replay" (fun () ->
         Extlog.Log.replay log ~is_failed:(Epoch.Manager.is_failed em))
   in
-  (* Recovery-time appends (txn redo below) must not overwrite the live
-     prefix — a crash during recovery replays it again. *)
-  Extlog.Log.seek_live_end log ~is_failed:(Epoch.Manager.is_failed em);
+  let replayed = replay.Extlog.Log.applied in
   (* Restore the allocator metadata lines (bump/free/limbo chains). *)
   let dalloc =
     phase "recover.alloc_chains" (fun () -> Alloc.Durable.open_after_crash em)
@@ -379,7 +381,8 @@ let recover_region ?txn_probe ~variant ~config region =
     | None -> fun ~coordinator:_ ~txn_id -> txn_id <= Txn.watermark region
   in
   let txns_redone, txns_aborted, session_records =
-    phase "recover.txn_resolve" (fun () -> Txn.resolve ctx tree ~probe)
+    phase "recover.txn_resolve" (fun () ->
+        Txn.resolve ctx tree ~probe replay.Extlog.Log.records)
   in
   (* Per-session newest record wins: the records arrive in log order, so
      a later record of the same session overwrites an earlier one. *)

@@ -263,13 +263,14 @@ let apply_committed ctx tree ~txn_id ~coordinator writes =
    commit order, so redone write sets land in the original serialization
    order.
 
-   The records are materialized before any redo runs: redo writes append
-   node images to the log (past the live prefix — recovery parked the
-   cursor there), and an iteration interleaved with appends could race a
-   [Log_full]-forced truncation. For the same reason, a mid-redo epoch
-   change re-arms PREPAREs for every transaction not fully redone yet,
-   current one included, before continuing. Returns [(redone, aborted)]
-   transaction counts. *)
+   The records arrive materialized by the log's one replay pass, before
+   any redo runs: redo writes append node images to the log (past the
+   live prefix — the pass parked the cursor there), and an iteration
+   interleaved with appends could race a [Log_full]-forced truncation.
+   For the same reason, a mid-redo epoch change re-arms PREPAREs for
+   every transaction not fully redone yet, current one included, before
+   continuing. Returns the [(redone, aborted)] transaction counts and the
+   session records. *)
 (* A pending redo item: a committed PREPARE's (remaining) write set, or
    a session dedup record. Redone strictly in log order, so a session
    put and a txn write to the same key land in their original
@@ -278,12 +279,11 @@ type redo_item =
   | Rtxn of int * int * write list  (* txn_id, coordinator, remaining *)
   | Rsess of int * int * int * Session.op  (* sid, seq, status *)
 
-let resolve ctx tree ~probe =
+let resolve ctx tree ~probe records =
   let items = ref [] and aborted = ref 0 in
   let sessions = ref [] in
-  Extlog.Log.fold_live_records ctx.Ctx.log
-    ~is_failed:(Epoch.Manager.is_failed ctx.Ctx.em)
-    (fun ~kind ~epoch:_ ~txn_id ~payload ->
+  List.iter
+    (fun { Extlog.Log.kind; txn_id; payload; _ } ->
       if kind = Extlog.Log.kind_txn_prepare then begin
         match decode_prepare payload with
         | None -> incr aborted (* writer bug; treat as never-committed *)
@@ -301,7 +301,8 @@ let resolve ctx tree ~probe =
         | Some (seq, status, op) ->
             sessions := (txn_id, seq, status) :: !sessions;
             items := Rsess (txn_id, seq, status, op) :: !items
-      end);
+      end)
+    records;
   let pending = ref (List.rev !items) in
   let redone = ref 0 in
   (* Mid-redo epoch change: re-arm a record for everything not fully

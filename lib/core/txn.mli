@@ -96,8 +96,10 @@ val resolve :
   Ctx.t ->
   Masstree.Tree.t ->
   probe:(coordinator:int -> txn_id:int -> bool) ->
+  Extlog.Log.record list ->
   int * int * (int * int * int) list
-(** Resolve surviving PREPARE and session records strictly in log
+(** Resolve the PREPARE and session records that survived in the live
+    log prefix (as returned by {!Extlog.Log.replay}) strictly in log
     (= serialization) order: redo the write sets of transactions
     [probe] reports committed and the ops of session records (their
     effects were rolled back with the crashed epoch; commit-tagged

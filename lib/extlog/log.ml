@@ -191,96 +191,111 @@ let append_record t ~kind ~epoch ~txn_id ~payload =
   seal_entry t ~entry ~kind ~epoch ~addr:txn_id ~size;
   Obs.Stall.exit stalls
 
-(* Walk the intact-entry prefix, calling [f] on each entry. *)
-let fold_entries t f =
+(* Walk the log from its start, calling [f] on each intact entry, and
+   stop at the first entry that is torn or badly shaped or whose epoch
+   [live] rejects; returns the offset the walk stopped at. [live] sees an
+   entry's epoch right after its magic word, so the entry that ends the
+   walk costs at most its header reads and nothing past it is read. *)
+let walk t ~live f =
   let region_size = Nvm.Region.size t.region in
   let rec loop pos =
-    if pos + header_bytes > t.len then ()
+    if pos + header_bytes > t.len then pos
     else begin
       let entry = t.off + pos in
       let low = Nvm.Region.read_split t.region entry in
-      if low <> magic_low || Nvm.Region.split_top t.region <> magic_top then ()
+      if low <> magic_low || Nvm.Region.split_top t.region <> magic_top then pos
       else begin
-        let kind = Nvm.Region.read_int t.region (entry + 8) in
         let epoch = Nvm.Region.read_int t.region (entry + 16) in
-        let addr = Nvm.Region.read_int t.region (entry + 24) in
-        let size = Nvm.Region.read_int t.region (entry + 32) in
-        let sum_low = Nvm.Region.read_split t.region (entry + 40) in
-        let sum_top = Nvm.Region.split_top t.region in
-        let shape_ok =
-          size > 0
-          && size land 7 = 0
-          && pos + header_bytes + size <= t.len
-          && addr >= 0
-          && (match kind with
-             | k when k = kind_node -> addr + size <= region_size
-             | k
-               when k = kind_txn_prepare || k = kind_txn_commit
-                    || k = kind_session ->
-                 true
-             | _ -> false)
-        in
-        if not shape_ok then ()
-        else if
-          (checksum t ~payload_off:(entry + header_bytes) ~size ~kind ~epoch
-             ~addr;
-           t.sum_top <> sum_top || t.sum_low <> sum_low)
-        then ()
+        if not (live epoch) then pos
         else begin
-          f ~kind ~epoch ~addr ~size ~payload_off:(entry + header_bytes);
-          loop (pos + header_bytes + size)
+          let kind = Nvm.Region.read_int t.region (entry + 8) in
+          let addr = Nvm.Region.read_int t.region (entry + 24) in
+          let size = Nvm.Region.read_int t.region (entry + 32) in
+          let sum_low = Nvm.Region.read_split t.region (entry + 40) in
+          let sum_top = Nvm.Region.split_top t.region in
+          let shape_ok =
+            size > 0
+            && size land 7 = 0
+            && pos + header_bytes + size <= t.len
+            && addr >= 0
+            && (match kind with
+               | k when k = kind_node -> addr + size <= region_size
+               | k
+                 when k = kind_txn_prepare || k = kind_txn_commit
+                      || k = kind_session ->
+                   true
+               | _ -> false)
+          in
+          if not shape_ok then pos
+          else if
+            (checksum t ~payload_off:(entry + header_bytes) ~size ~kind ~epoch
+               ~addr;
+             t.sum_top <> sum_top || t.sum_low <> sum_low)
+          then pos
+          else begin
+            f ~kind ~epoch ~addr ~size ~payload_off:(entry + header_bytes);
+            loop (pos + header_bytes + size)
+          end
         end
       end
     end
   in
   loop 0
 
+let any_epoch _ = true
+
 let scan_entries t f =
-  fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off:_ ->
-      f ~kind ~epoch ~addr ~size)
+  ignore
+    (walk t ~live:any_epoch (fun ~kind ~epoch ~addr ~size ~payload_off:_ ->
+         f ~kind ~epoch ~addr ~size)
+      : int)
 
-(* The live prefix after a crash: intact entries at or above the durable
-   truncation floor that belong to a failed (rolled-back) epoch. Replayable
-   entries form a contiguous prefix; stop at the first stale or non-failed
-   entry. *)
-let fold_live t ~is_failed f =
-  let floor = truncation_epoch t in
-  let stop = ref false in
-  fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off ->
-      if (not !stop) && epoch >= floor && is_failed epoch then
-        f ~kind ~epoch ~addr ~size ~payload_off
-      else stop := true)
+type record = { kind : int; epoch : int; txn_id : int; payload : string }
+type replayed = { applied : int; records : record list }
 
-(* Recovery appends (transaction redo) must not overwrite the live
-   prefix: a crash during recovery replays it again, so its entries have
-   to stay intact until the end-of-recovery checkpoint truncates them.
-   Park the cursor just past the prefix instead of at the start. *)
-let seek_live_end t ~is_failed =
-  let end_ = ref 0 in
-  fold_live t ~is_failed (fun ~kind:_ ~epoch:_ ~addr:_ ~size ~payload_off:_ ->
-      end_ := !end_ + header_bytes + size);
-  t.tail <- !end_
+let read_record t ~kind ~epoch ~addr ~size ~payload_off =
+  {
+    kind;
+    epoch;
+    txn_id = addr;
+    payload = Nvm.Region.read_string t.region payload_off ~len:size;
+  }
 
+(* The live prefix after a crash: the intact entries at or above the
+   durable truncation floor that belong to a failed (rolled-back) epoch.
+   Appends are contiguous from the truncation point, and recovery-time
+   appends are parked past the prefix, so no entry after the first
+   non-live one can be live: the walk stops there.
+
+   One pass: copy node images home, collect the typed records, and park
+   the append cursor at the live end. Recovery appends (transaction redo)
+   must not overwrite the live prefix: a crash during recovery replays it
+   again, so its entries have to stay intact until the end-of-recovery
+   checkpoint truncates them. *)
 let replay t ~is_failed =
-  let applied = ref 0 in
-  fold_live t ~is_failed (fun ~kind ~epoch:_ ~addr ~size ~payload_off ->
-      if kind = kind_node then begin
-        Nvm.Region.blit_within t.region ~src:payload_off ~dst:addr ~len:size;
-        incr applied
-      end);
+  let floor = truncation_epoch t in
+  let applied = ref 0 and records = ref [] in
+  let live_end =
+    walk t
+      ~live:(fun epoch -> epoch >= floor && is_failed epoch)
+      (fun ~kind ~epoch ~addr ~size ~payload_off ->
+        if kind = kind_node then begin
+          Nvm.Region.blit_within t.region ~src:payload_off ~dst:addr ~len:size;
+          incr applied
+        end
+        else
+          records :=
+            read_record t ~kind ~epoch ~addr ~size ~payload_off :: !records)
+  in
+  t.tail <- live_end;
   t.c_replayed := !(t.c_replayed) + !applied;
   Nvm.Region.trace_event t.region
     (Obs.Trace.Extlog_replay { entries = !applied });
-  !applied
-
-let fold_live_records t ~is_failed f =
-  fold_live t ~is_failed (fun ~kind ~epoch ~addr ~size ~payload_off ->
-      if kind <> kind_node then
-        f ~kind ~epoch ~txn_id:addr
-          ~payload:(Nvm.Region.read_string t.region payload_off ~len:size))
+  { applied = !applied; records = List.rev !records }
 
 let fold_all_records t f =
-  fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off ->
-      if kind <> kind_node then
-        f ~kind ~epoch ~txn_id:addr
-          ~payload:(Nvm.Region.read_string t.region payload_off ~len:size))
+  ignore
+    (walk t ~live:any_epoch (fun ~kind ~epoch ~addr ~size ~payload_off ->
+         if kind <> kind_node then
+           f (read_record t ~kind ~epoch ~addr ~size ~payload_off))
+      : int)

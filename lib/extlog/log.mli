@@ -10,15 +10,16 @@
     Every entry carries a {e kind}: [kind_node] entries are the paper's
     undo images; [kind_txn_prepare] / [kind_txn_commit] entries are
     WAL-style commit-protocol records (serialized write sets keyed by a
-    transaction id in the header's addr field) that {!replay} skips and
-    {!Incll.Txn} interprets during recovery.
+    transaction id in the header's addr field) that {!replay} returns
+    uncopied and {!Incll.Txn} interprets during recovery.
 
     The log is logically discarded at every checkpoint: the append cursor is
     transient and truncation resets it to the start, which means the entries
     of the epoch being rolled back always form a contiguous prefix of the
     log area. Each entry carries its epoch and a checksum, so replay applies
     exactly the prefix of intact entries belonging to the crashed epoch and
-    stops at the first stale or torn entry. *)
+    stops reading at the first stale or torn entry: recovery costs the
+    live prefix, not the log's capacity. *)
 
 type t
 
@@ -34,12 +35,12 @@ val kind_txn_commit : int
 val kind_session : int
 (** Session dedup record (exactly-once serving, DESIGN.md §17): the addr
     field carries the session id, the payload a serialized
-    (seqno, status, op) tuple ({!Incll.Session}). Skipped by {!replay},
-    interpreted alongside txn records during recovery. *)
+    (seqno, status, op) tuple ({!Incll.Session}). Returned uncopied by
+    {!replay}, interpreted alongside txn records during recovery. *)
 
 val attach : Nvm.Region.t -> t
 (** Attach to the region's log slice with the cursor at the start. Use after
-    [create] or at the start of recovery (replay does not need a cursor). *)
+    [create] or at the start of recovery ({!replay} parks the cursor). *)
 
 val append : t -> epoch:int -> addr:int -> size:int -> unit
 (** Log the current image of the object at [addr .. addr+size): copy it into
@@ -66,37 +67,38 @@ val truncate : t -> epoch:int -> unit
 
 val truncation_epoch : t -> int
 
-val replay : t -> is_failed:(int -> bool) -> int
-(** Copy every intact [kind_node] entry belonging to a failed epoch at or
-    above the truncation floor back to its home address; returns the number
-    of entries applied. Txn records in the same live prefix are skipped
-    (see {!fold_live_records}). Idempotent, and writes are not flushed — if
+type record = { kind : int; epoch : int; txn_id : int; payload : string }
+(** A typed (non-node) entry: [txn_id] is the header's addr field (the
+    session id for [kind_session]), [payload] the NUL-padded bytes. *)
+
+type replayed = {
+  applied : int;  (** Node images copied back home. *)
+  records : record list;  (** The prefix's typed records, in log order. *)
+}
+
+val replay : t -> is_failed:(int -> bool) -> replayed
+(** Recovery's one pass over the log. The live prefix is the run of
+    intact entries from the start of the log that are at or above the
+    truncation floor and belong to a failed epoch; the pass reads it and
+    stops at the first entry that is not live, reading nothing after
+    that entry's header (appends are contiguous from the truncation
+    point, so no later entry can be live). It copies every [kind_node]
+    image of the prefix back to its home address, returns the typed
+    records for {!Incll.Txn} to resolve (redo or discard), and parks the
+    append cursor at the end of the prefix: recovery-time appends
+    (transaction redo) must not overwrite entries that a crash during
+    recovery replays again. Idempotent, and writes are not flushed — if
     recovery crashes, it simply runs again (§4.3). *)
 
-val seek_live_end : t -> is_failed:(int -> bool) -> unit
-(** Park the append cursor just past the live prefix instead of at the
-    start. Recovery calls this before any recovery-time append
-    (transaction redo), because overwriting the live prefix would starve
-    a subsequent crash-during-recovery of the very entries it replays. *)
-
-val fold_live_records :
-  t ->
-  is_failed:(int -> bool) ->
-  (kind:int -> epoch:int -> txn_id:int -> payload:string -> unit) ->
-  unit
-(** Iterate the typed (non-node) records of the same live prefix
-    {!replay} applies: intact, at or above the truncation floor,
-    belonging to a failed epoch. Recovery resolves these (redo or
-    discard), in log order. *)
-
-val fold_all_records :
-  t -> (kind:int -> epoch:int -> txn_id:int -> payload:string -> unit) -> unit
-(** Iterate every intact txn record regardless of epoch (diagnostics:
-    [incll_fsck] dangling-PREPARE reporting). *)
+val fold_all_records : t -> (record -> unit) -> unit
+(** Iterate every intact typed record from the start of the log,
+    whatever its epoch, stale ones after the live prefix included
+    (diagnostics: [incll_fsck]). *)
 
 val scan_entries :
   t -> (kind:int -> epoch:int -> addr:int -> size:int -> unit) -> unit
-(** Iterate the intact entry prefix (diagnostics and tests). *)
+(** Iterate the intact entry prefix, whatever its epochs (diagnostics and
+    tests). *)
 
 (** {1 Statistics (Figure 7 measures logged-node counts)} *)
 
