@@ -18,7 +18,6 @@ let usage =
   --policy P            throughput | latency | rto        (default throughput)
   --epoch-ms MS         checkpoint cadence                (default 16)
   --queue-capacity N    per-shard request queue bound     (default 1024)
-  --batch N             max requests per shard dequeue    (default 64)
   --image-dir DIR       persist each shard's NVM image to DIR/shard<i>.img;
                         restarting over an existing DIR recovers the store
   --size-mb MB          per-shard region size             (default 64)
@@ -85,7 +84,6 @@ let () =
   let policy = ref Nvm.Config.Throughput in
   let epoch_ms = ref 16.0 in
   let queue_capacity = ref 1024 in
-  let batch = ref 64 in
   let image_dir = ref None in
   let size_mb = ref 64 in
   let log_kb = ref 4096 in
@@ -119,9 +117,6 @@ let () =
     | "--queue-capacity" :: v :: rest ->
         queue_capacity := int_of_string v;
         parse rest
-    | "--batch" :: v :: rest ->
-        batch := int_of_string v;
-        parse rest
     | "--image-dir" :: v :: rest ->
         image_dir := Some v;
         parse rest
@@ -148,7 +143,7 @@ let () =
     store_for ~image_dir:!image_dir ~config ~variant:!variant ~shards:!shards
   in
   let srv =
-    Server.Engine.start ~queue_capacity:!queue_capacity ~batch:!batch ~store
+    Server.Engine.start ~queue_capacity:!queue_capacity ~store
       ~variant:!variant ~shards:!shards listen
   in
   Printf.printf

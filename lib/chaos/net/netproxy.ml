@@ -11,12 +11,13 @@
    [Chaos.Plan] injector singleton is for single-domain crash plans and
    is not touched here.
 
-   Each relayed connection runs on one domain that pumps both directions
-   through a select loop (a torture run reconnects many times; one
-   domain per connection keeps the process under the runtime's domain
-   budget). *)
+   Each relayed connection runs on one thread of the accept domain that
+   pumps both directions through a select loop, so the proxy costs one
+   domain however many connections it relays (OCaml caps a process at
+   128 domains, and the engine it fronts may share the process). *)
 
 module P = Wire.Proto
+module Sock = Wire.Sock
 
 type sched = {
   mutable points : Chaos.Plan.point list;  (* ordered by hit *)
@@ -25,21 +26,18 @@ type sched = {
 
 type t = {
   listen_fd : Unix.file_descr;
-  bound : Wire.Client.addr;
-  upstream : Wire.Client.addr;
+  bound : Sock.addr;
+  upstream : Sock.addr;
   stop_flag : bool Atomic.t;
   mutable accept_domain : unit Domain.t option;
-  mutable conns : unit Domain.t list;
-  live_conns : int Atomic.t;
-  mu : Mutex.t;  (* conns list + schedules + injected counts *)
+  mu : Mutex.t;  (* live_conns + schedules + injected *)
+  idle : Condition.t;  (* signalled when [live_conns] hits 0 *)
+  mutable live_conns : int;
   up : sched;  (* client -> server *)
   down : sched;  (* server -> client *)
-  injected : int array;  (* per Chaos.Site.index *)
+  mutable injected : int;  (* faults injected, both directions *)
   on_fault : (Chaos.Plan.point -> unit) option;
 }
-
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
 
 let net_site = function
   | Chaos.Site.Net_drop | Net_delay | Net_dup | Net_trunc | Net_sever -> true
@@ -57,8 +55,6 @@ let check_sched = function
         pts;
       List.sort (fun a b -> compare a.Chaos.Plan.hit b.Chaos.Plan.hit) pts
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* Under [t.mu]: the fault (if any) scheduled for the next frame of this
    direction. *)
 let next_fault t sched =
@@ -68,8 +64,7 @@ let next_fault t sched =
     match sched.points with
     | { Chaos.Plan.hit; site } :: tl when sched.frames >= hit ->
         sched.points <- tl;
-        t.injected.(Chaos.Site.index site) <-
-          t.injected.(Chaos.Site.index site) + 1;
+        t.injected <- t.injected + 1;
         Some { Chaos.Plan.site; hit }
     | _ -> None
   in
@@ -86,15 +81,6 @@ let frame_of_payload payload =
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
-    off := !off + k
-  done
-
 exception Severed
 
 (* Sever both sides of the relayed connection; both peers see EOF. *)
@@ -106,26 +92,27 @@ let sever a b =
 let relay t sched ~src ~dst payload =
   let frame = frame_of_payload payload in
   match next_fault t sched with
-  | None -> write_all dst frame
+  | None -> Sock.write_all dst frame
   | Some { Chaos.Plan.site = Chaos.Site.Net_drop; _ } -> ()
   | Some { site = Net_delay; _ } ->
       (try Unix.sleepf 0.15 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      write_all dst frame
+      Sock.write_all dst frame
   | Some { site = Net_dup; _ } ->
-      write_all dst frame;
-      write_all dst frame
+      Sock.write_all dst frame;
+      Sock.write_all dst frame
   | Some { site = Net_trunc; _ } ->
       (* Torn frame: deliver the length prefix plus part of the payload,
          then cut the connection — the receiver's decoder must hold the
          partial frame without mis-parsing it. *)
       let cut = 4 + max 1 (String.length payload / 2) in
-      write_all dst (String.sub frame 0 (min cut (String.length frame - 1)));
+      Sock.write_all dst
+        (String.sub frame 0 (min cut (String.length frame - 1)));
       sever src dst;
       raise Severed
   | Some { site = Net_sever; _ } ->
       sever src dst;
       raise Severed
-  | Some _ -> (* schedules are validated net-only *) write_all dst frame
+  | Some _ -> (* schedules are validated net-only *) Sock.write_all dst frame
 
 (* Pump both directions of one relayed connection until EOF, a severing
    fault, or proxy stop. *)
@@ -137,7 +124,7 @@ let conn_loop t ~client ~server =
      let eof = ref false in
      while (not !eof) && not (Atomic.get t.stop_flag) do
        match
-         restart_eintr (fun () -> Unix.select [ client; server ] [] [] 0.2)
+         Sock.restart_eintr (fun () -> Unix.select [ client; server ] [] [] 0.2)
        with
        | [], _, _ -> ()
        | ready, _, _ ->
@@ -146,10 +133,7 @@ let conn_loop t ~client ~server =
                let sched, dec, src, dst =
                  if fd = client then dir_up else dir_down
                in
-               let n =
-                 restart_eintr (fun () ->
-                     Unix.read src buf 0 (Bytes.length buf))
-               in
+               let n = Sock.read src buf in
                if n = 0 then eof := true
                else begin
                  P.Decoder.feed dec buf 0 n;
@@ -166,89 +150,46 @@ let conn_loop t ~client ~server =
      done
    with Severed | Unix.Unix_error _ | End_of_file | P.Malformed _ -> ());
   sever client server;
-  close_quiet client;
-  close_quiet server
+  Sock.close_quiet client;
+  Sock.close_quiet server
 
-let connect_upstream addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         close_quiet fd;
-         raise e);
-      fd
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.TCP_NODELAY true;
-         Unix.connect fd (Unix.ADDR_INET (ip, port))
-       with e ->
-         close_quiet fd;
-         raise e);
-      fd
-
-let bind_listen addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, addr)
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Wire.Client.Tcp (host, port))
+let conn_closed t =
+  Mutex.lock t.mu;
+  t.live_conns <- t.live_conns - 1;
+  if t.live_conns = 0 then Condition.broadcast t.idle;
+  Mutex.unlock t.mu
 
 let handle_conn t client =
-  match connect_upstream t.upstream with
-  | exception _ -> close_quiet client
-  | server ->
-      Atomic.incr t.live_conns;
-      let d =
-        Domain.spawn (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Atomic.decr t.live_conns)
-              (fun () -> conn_loop t ~client ~server))
-      in
+  match Sock.connect t.upstream with
+  | exception _ -> Sock.close_quiet client
+  | server -> (
       Mutex.lock t.mu;
-      t.conns <- d :: t.conns;
-      Mutex.unlock t.mu
+      t.live_conns <- t.live_conns + 1;
+      Mutex.unlock t.mu;
+      let pump () =
+        Fun.protect
+          ~finally:(fun () -> conn_closed t)
+          (fun () -> conn_loop t ~client ~server)
+      in
+      (* No thread to pump it: both peers see EOF, the proxy keeps going. *)
+      match Thread.create pump () with
+      | (_ : Thread.t) -> ()
+      | exception _ ->
+          Sock.close_quiet client;
+          Sock.close_quiet server;
+          conn_closed t)
 
 let accept_loop t =
   while not (Atomic.get t.stop_flag) do
-    match restart_eintr (fun () -> Unix.select [ t.listen_fd ] [] [] 0.2) with
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.listen_fd with
-        | client, _ ->
-            (match t.bound with
-            | Wire.Client.Tcp _ -> Unix.setsockopt client Unix.TCP_NODELAY true
-            | _ -> ());
-            handle_conn t client
-        | exception Unix.Unix_error _ -> ())
-  done
+    if Sock.readable t.listen_fd 0.2 then
+      Option.iter (handle_conn t) (Sock.accept t.listen_fd)
+  done;
+  Sock.unlisten t.listen_fd t.bound
 
 let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
   (* Relaying into severed sockets is this proxy's job description. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd, bound = bind_listen listen in
+  let listen_fd, bound = Sock.listen listen in
   let t =
     {
       listen_fd;
@@ -256,12 +197,12 @@ let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
       upstream;
       stop_flag = Atomic.make false;
       accept_domain = None;
-      conns = [];
-      live_conns = Atomic.make 0;
       mu = Mutex.create ();
+      idle = Condition.create ();
+      live_conns = 0;
       up = { points = check_sched sched_up; frames = 0 };
       down = { points = check_sched sched_down; frames = 0 };
-      injected = Array.make Chaos.Site.count 0;
+      injected = 0;
       on_fault;
     }
   in
@@ -269,34 +210,27 @@ let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
   t
 
 let addr t = t.bound
-let live_conns t = Atomic.get t.live_conns
 
-let injected t site =
+let live_conns t =
   Mutex.lock t.mu;
-  let n = t.injected.(Chaos.Site.index site) in
+  let n = t.live_conns in
   Mutex.unlock t.mu;
   n
 
 let injected_total t =
   Mutex.lock t.mu;
-  let n = Array.fold_left ( + ) 0 t.injected in
+  let n = t.injected in
   Mutex.unlock t.mu;
   n
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
-    close_quiet t.listen_fd;
-    (match t.accept_domain with
-    | Some d ->
-        Domain.join d;
-        t.accept_domain <- None
-    | None -> ());
+    Option.iter Domain.join t.accept_domain;
+    t.accept_domain <- None;
+    (* Pumps see the stop flag within their select timeout. *)
     Mutex.lock t.mu;
-    let conns = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.mu;
-    List.iter Domain.join conns;
-    match t.bound with
-    | Wire.Client.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
-    | _ -> ()
+    while t.live_conns > 0 do
+      Condition.wait t.idle t.mu
+    done;
+    Mutex.unlock t.mu
   end

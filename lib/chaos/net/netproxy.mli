@@ -13,7 +13,12 @@
     late), [Net_dup] (delivered twice), [Net_trunc] (cut mid-payload,
     then the connection severed — a torn frame), [Net_sever] (connection
     cut between frames). The proxy keeps its own counters; the global
-    {!Chaos.Plan} injector singleton is untouched. *)
+    {!Chaos.Plan} injector singleton is untouched.
+
+    The proxy runs one domain: it accepts there, and each relayed
+    connection is pumped, both directions, by one thread of that
+    domain. It can therefore share a process with the engine it fronts
+    however many connections it relays. *)
 
 type t
 
@@ -28,7 +33,7 @@ val start :
 (** Bind [listen] (TCP port 0 resolves; read {!addr}) and relay every
     accepted connection to [upstream]. [sched_up] faults client→server
     frames (requests), [sched_down] server→client frames (replies).
-    [on_fault] runs on the pump domain as each fault is injected (e.g. a
+    [on_fault] runs on the pump thread as each fault is injected (e.g. a
     torture harness SIGKILLs the server there). Raises
     [Invalid_argument] if a schedule contains a non-[net.*] site. *)
 
@@ -38,11 +43,9 @@ val addr : t -> Wire.Client.addr
 val live_conns : t -> int
 (** Relayed connections currently open. *)
 
-val injected : t -> Chaos.Site.t -> int
-(** Faults actually injected at a site so far, both directions. *)
-
 val injected_total : t -> int
+(** Faults actually injected so far, both directions. *)
 
 val stop : t -> unit
-(** Stop accepting, sever every relayed connection, join the pump
-    domains. Idempotent. *)
+(** Stop accepting, sever every relayed connection, and return once
+    every pump has finished ({!live_conns} is 0). Idempotent. *)

@@ -43,9 +43,3 @@ let close t =
   t.closed <- true;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mu
-
-let length t =
-  Mutex.lock t.mu;
-  let n = Queue.length t.q in
-  Mutex.unlock t.mu;
-  n

@@ -26,5 +26,3 @@ val pop_batch : 'a t -> max:int -> 'a list
 val close : 'a t -> unit
 (** Wake the consumer; subsequent pushes fail. Elements already queued
     can still be popped. *)
-
-val length : 'a t -> int

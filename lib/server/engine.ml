@@ -1,9 +1,12 @@
 module P = Wire.Proto
+module Sock = Wire.Sock
 
 type conn = {
   fd : Unix.file_descr;
   replies : string Bqueue.t;  (* encoded reply frames *)
-  outstanding : int Atomic.t;  (* requests handed to shard domains *)
+  (* Requests handed to shard domains, plus one held by the reader until
+     it stops reading; whoever drops it to zero closes [replies]. *)
+  outstanding : int Atomic.t;
   mutable txn : P.txn_write list option;  (* newest first; reader-only *)
 }
 
@@ -43,11 +46,12 @@ type t = {
   c_dedup : int ref array;  (* per-shard "server.dedup_hits" counters *)
   sid_counter : int Atomic.t;  (* next fresh session id *)
   listen_fd : Unix.file_descr;
-  bound : Wire.Client.addr;
+  bound : Sock.addr;
   stop_flag : bool Atomic.t;
   barrier_mu : Mutex.t;  (* serialises multi-queue barrier enqueues *)
   conns_mu : Mutex.t;
-  mutable conn_domains : unit Domain.t list;
+  conns_idle : Condition.t;  (* signalled when [live_conns] hits 0 *)
+  mutable live_conns : int;  (* connections whose threads still run *)
   mutable shard_domains : unit Domain.t list;
   mutable accept_domain : unit Domain.t option;
   batch : int;
@@ -57,12 +61,6 @@ type t = {
 }
 
 let wall_ns t = (Unix.gettimeofday () -. t.t0) *. 1e9
-
-(* A signal delivered to the process (SIGTERM with a handler installed,
-   say) interrupts blocking syscalls on whatever domain is inside one;
-   an EINTR must resume the call, never abandon a drain. *)
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
 
 (* ------------------------------------------------------------- replies *)
 
@@ -75,6 +73,12 @@ let encode_reply r =
       { r with P.status = P.Bad_request; payload = P.Text m }
 
 let push_reply conn r = ignore (Bqueue.push_unbounded conn.replies (encode_reply r))
+
+(* Drop one count of [conn.outstanding]; the last one closes the reply
+   queue, so the writer flushes what is queued and exits. *)
+let release conn =
+  if Atomic.fetch_and_add conn.outstanding (-1) = 1 then
+    Bqueue.close conn.replies
 
 let simple conn id status =
   push_reply conn
@@ -185,7 +189,7 @@ let exec_op t shard (conn, enq_ns, { P.id; op; sess }) =
         | None -> P.no_cause
       in
       push_reply conn { P.id; status; queue_ns; cause; payload });
-  ignore (Atomic.fetch_and_add conn.outstanding (-1))
+  release conn
 
 let run_barrier_job b =
   Mutex.lock b.bmu;
@@ -230,7 +234,7 @@ let submit_barrier t conn id f =
       try f () with e -> (P.Bad_request, P.Text (Printexc.to_string e))
     in
     push_reply conn { P.id; status; queue_ns; cause = P.no_cause; payload };
-    ignore (Atomic.fetch_and_add conn.outstanding (-1))
+    release conn
   in
   let b =
     {
@@ -316,8 +320,8 @@ let handle_request t conn ~draining ({ P.id; op; sess } as req) =
       ignore (Atomic.fetch_and_add conn.outstanding 1);
       if not (Bqueue.try_push t.queues.(shard) (Op (conn, wall_ns t, req)))
       then begin
-        ignore (Atomic.fetch_and_add conn.outstanding (-1));
-        simple conn id P.Busy
+        simple conn id P.Busy;
+        release conn
       end
     in
     match op with
@@ -403,23 +407,14 @@ let handle_request t conn ~draining ({ P.id; op; sess } as req) =
             }
         end
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
-    off := !off + k
-  done
-
 let writer_loop conn =
   let rec loop () =
     match Bqueue.pop_batch conn.replies ~max:64 with
     | [] -> ()
     | frames ->
-        (* A dead peer must not wedge the drain: keep popping so the
-           reader's outstanding-wait can finish. *)
-        (try List.iter (write_all conn.fd) frames
+        (* A dead peer must not wedge the drain: keep popping until the
+           last outstanding request closes the queue. *)
+        (try List.iter (Sock.write_all conn.fd) frames
          with Unix.Unix_error _ -> ());
         loop ()
   in
@@ -441,9 +436,7 @@ let reader_loop t conn =
   in
   (* [false] on peer EOF. *)
   let read_once () =
-    let n =
-      restart_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf))
-    in
+    let n = Sock.read conn.fd buf in
     n > 0
     && begin
          P.Decoder.feed dec buf 0 n;
@@ -454,9 +447,7 @@ let reader_loop t conn =
   (try
      let eof = ref false in
      while (not !eof) && not (Atomic.get t.stop_flag) do
-       match restart_eintr (fun () -> Unix.select [ conn.fd ] [] [] 0.2) with
-       | [], _, _ -> ()
-       | _ -> eof := not (read_once ())
+       if Sock.readable conn.fd 0.2 then eof := not (read_once ())
      done;
      (* Final sweep on stop: requests the peer had already delivered are
         processed and answered, not dropped — that is what makes the
@@ -465,16 +456,10 @@ let reader_loop t conn =
         backlog by the stop sweep, its requests never yet read); anything
         arriving after that is bounced Shutting_down so a still-streaming
         peer cannot wedge the drain. *)
-     if not !eof then begin
-       let more = ref true in
-       while !more do
-         match restart_eintr (fun () -> Unix.select [ conn.fd ] [] [] 0.0) with
-         | [], _, _ -> more := false
-         | _ ->
-             more := read_once ();
-             draining := true
+     if not !eof then
+       while Sock.readable conn.fd 0.0 && read_once () do
+         draining := true
        done
-     end
    with
   | P.Malformed _ ->
       (* Unframeable garbage: we cannot resync mid-stream, drop the
@@ -482,80 +467,68 @@ let reader_loop t conn =
       ()
   | Unix.Unix_error _ -> ());
   conn.txn <- None;
-  while Atomic.get conn.outstanding > 0 do
-    try Unix.sleepf 0.0005 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  Bqueue.close conn.replies
+  release conn
 
+let conn_closed t =
+  Mutex.lock t.conns_mu;
+  t.live_conns <- t.live_conns - 1;
+  if t.live_conns = 0 then Condition.broadcast t.conns_idle;
+  Mutex.unlock t.conns_mu
+
+(* The connection's reader thread. It starts the writer thread, and once
+   the writer has flushed the last reply it closes the socket and
+   retires the connection, whatever was raised on the way. *)
 let handle_conn t conn =
-  let writer = Domain.spawn (fun () -> writer_loop conn) in
-  reader_loop t conn;
-  Domain.join writer;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+  Fun.protect
+    ~finally:(fun () ->
+      Sock.close_quiet conn.fd;
+      conn_closed t)
+    (fun () ->
+      let writer = Thread.create writer_loop conn in
+      reader_loop t conn;
+      Thread.join writer)
 
 (* ---------------------------------------------------------- accept side *)
 
+(* Connections are served by threads of the accept domain, so the process
+   runs one I/O domain plus one domain per shard however many clients
+   connect (OCaml caps a process at 128 domains). *)
 let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
+  match Sock.accept t.listen_fd with
+  | None -> ()
+  | Some fd -> (
       let conn =
         {
           fd;
           replies = Bqueue.create ~capacity:1024;
-          outstanding = Atomic.make 0;
+          outstanding = Atomic.make 1;
           txn = None;
         }
       in
-      let d = Domain.spawn (fun () -> handle_conn t conn) in
       Mutex.lock t.conns_mu;
-      t.conn_domains <- d :: t.conn_domains;
-      Mutex.unlock t.conns_mu
-  | exception Unix.Unix_error _ -> ()
+      t.live_conns <- t.live_conns + 1;
+      Mutex.unlock t.conns_mu;
+      (* No thread to serve it (the OS refused one): close the socket, so
+         the peer sees EOF instead of a hang, and keep serving. *)
+      match Thread.create (handle_conn t) conn with
+      | (_ : Thread.t) -> ()
+      | exception _ ->
+          Sock.close_quiet fd;
+          conn_closed t)
 
 let accept_loop t =
   while not (Atomic.get t.stop_flag) do
-    match restart_eintr (fun () -> Unix.select [ t.listen_fd ] [] [] 0.2) with
-    | [], _, _ -> ()
-    | _ -> accept_one t
+    if Sock.readable t.listen_fd 0.2 then accept_one t
   done;
   (* Connections already queued on the backlog when stop arrived were,
      from the peer's side, accepted before the drain began (connect
      completes on enqueue): accept and drain them like established ones
      instead of letting the listen close reset them with their delivered
      requests unread. *)
-  let more = ref true in
-  while !more do
-    match restart_eintr (fun () -> Unix.select [ t.listen_fd ] [] [] 0.0) with
-    | [], _, _ -> more := false
-    | _ -> accept_one t
+  while Sock.readable t.listen_fd 0.0 do
+    accept_one t
   done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
-
-let bind_listen addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, addr)
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      let bound_port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Wire.Client.Tcp (host, bound_port))
+  Sock.unlisten t.listen_fd t.bound
 
 let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     ~variant ~shards addr =
@@ -566,7 +539,7 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     | None -> Store.Sharded.create ?config variant ~shards
   in
   let shards = Store.Sharded.nshards store in
-  let listen_fd, bound = bind_listen addr in
+  let listen_fd, bound = Sock.listen addr in
   let t =
     {
       store;
@@ -589,7 +562,8 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       stop_flag = Atomic.make false;
       barrier_mu = Mutex.create ();
       conns_mu = Mutex.create ();
-      conn_domains = [];
+      conns_idle = Condition.create ();
+      live_conns = 0;
       shard_domains = [];
       accept_domain = None;
       batch;
@@ -624,14 +598,14 @@ let stop t =
     t.stopped <- true;
     Atomic.set t.stop_flag true;
     Option.iter Domain.join t.accept_domain;
-    (* Accept has exited: the connection list is stable now. Readers see
-       the stop flag within their select timeout, finish their in-flight
-       requests, and close once their writers have flushed. *)
-    List.iter Domain.join t.conn_domains;
+    (* Accept has exited, so no connection can be added. Readers see the
+       stop flag within their select timeout, finish their in-flight
+       requests, and retire once their writers have flushed. *)
+    Mutex.lock t.conns_mu;
+    while t.live_conns > 0 do
+      Condition.wait t.conns_idle t.conns_mu
+    done;
+    Mutex.unlock t.conns_mu;
     Array.iter Bqueue.close t.queues;
-    List.iter Domain.join t.shard_domains;
-    match t.bound with
-    | Wire.Client.Unix_sock path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Wire.Client.Tcp _ -> ()
+    List.iter Domain.join t.shard_domains
   end

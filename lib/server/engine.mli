@@ -1,17 +1,17 @@
-(** The serving engine: accept/IO domains feeding per-shard bounded
-    queues drained by shard domains (DESIGN.md §16).
-
-    One domain accepts connections; each connection gets a reader domain
-    (decode frames, route requests) and a writer domain (flush reply
+(** The serving engine: one I/O domain feeding per-shard bounded queues
+    drained by shard domains (DESIGN.md §16), however many clients
+    connect. Each connection is served by two threads of the I/O domain:
+    a reader (decode frames, route requests) and a writer (flush reply
     frames, in completion order — replies carry request ids, so they may
-    leave out of order). Single-key operations are routed by
-    {!Store.Sharded.shard_of_key} into that shard's bounded queue; a
-    full queue answers BUSY immediately from the reader — the server
-    never buffers without bound. Cross-shard operations (SCAN,
-    TXN_COMMIT, STATS) are barrier jobs enqueued on {e every} shard
-    queue; the last shard domain to arrive runs them exclusively while
-    the rest are parked, which gives them the same isolation the
-    sequential {!Store.Sharded} facade assumes.
+    leave out of order), so a slow peer never blocks a shard domain.
+    Single-key operations are routed by {!Store.Sharded.shard_of_key}
+    into that shard's bounded queue; a full queue answers BUSY
+    immediately from the reader — the server never buffers without
+    bound. Cross-shard operations (SCAN, TXN_COMMIT, STATS) are barrier
+    jobs enqueued on {e every} shard queue; the last shard domain to
+    arrive runs them exclusively while the rest are parked, which gives
+    them the same isolation the sequential {!Store.Sharded} facade
+    assumes.
 
     Each dequeued request records its queueing delay as an
     {!Obs.Stall.Net_queue} stall (wall clock, ns since server start)
@@ -42,9 +42,12 @@
 
     {!stop} drains gracefully: stop accepting, let readers finish their
     in-flight requests and writers flush every outstanding reply, then
-    shut the shard domains down. Signal delivery (a SIGTERM handler
-    firing mid-drain, say) cannot abort the drain: every blocking
-    syscall in the reader, writer and accept loops resumes on EINTR. *)
+    shut the shard domains down. Answering a connection's last
+    outstanding request (the reader holds one count until it stops
+    reading) closes its reply queue, so its writer exits once flushed.
+    Signal delivery (a SIGTERM handler firing mid-drain, say) cannot
+    abort the drain: every blocking syscall in the reader, writer and
+    accept loops resumes on EINTR. *)
 
 type t
 
@@ -66,7 +69,7 @@ val start :
   shards:int ->
   Wire.Client.addr ->
   t
-(** Bind, listen and spawn the accept + shard domains. [Tcp (host, 0)]
+(** Bind, listen and spawn the I/O + shard domains. [Tcp (host, 0)]
     binds an ephemeral port; read the real one back from {!addr}. *)
 
 val addr : t -> Wire.Client.addr
@@ -79,9 +82,10 @@ val store : t -> Store.Sharded.t
 val nshards : t -> int
 
 val stop : t -> unit
-(** Graceful drain, idempotent: stop accepting, wait for every
-    connection's in-flight requests to finish and its replies to flush,
-    then drain and join the shard domains. Connections still queued on
+(** Graceful drain, idempotent: stop accepting, wait until every
+    connection's in-flight requests have finished, its replies have
+    flushed and its socket is closed, then drain and join the shard
+    domains. Connections still queued on
     the listen backlog when stop arrives — their [connect] already
     succeeded, possibly with requests already sent — are accepted and
     drained like established ones; requests delivered before the drain

@@ -1,6 +1,6 @@
 exception Timeout
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Sock.addr = Unix_sock of string | Tcp of string * int
 
 let addr_of_string s =
   match String.index_opt s ':' with
@@ -35,27 +35,8 @@ type t = {
 }
 
 let connect addr =
-  let fd =
-    match addr with
-    | Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e -> Unix.close fd; raise e);
-        fd
-    | Tcp (host, port) ->
-        let ip =
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_of_string host
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt fd Unix.TCP_NODELAY true;
-           Unix.connect fd (Unix.ADDR_INET (ip, port))
-         with e -> Unix.close fd; raise e);
-        fd
-  in
   {
-    fd;
+    fd = Sock.connect addr;
     dec = Proto.Decoder.create ();
     rbuf = Bytes.create 65536;
     stash = Hashtbl.create 64;
@@ -63,26 +44,12 @@ let connect addr =
     in_flight = 0;
   }
 
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-(* A signal delivered to the process (the CLI installs handlers) makes
-   blocking syscalls fail with EINTR; always resume them. *)
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
-    off := !off + k
-  done
+let close t = Sock.close_quiet t.fd
 
 let send ?sess t op =
   let id = t.next_id in
   t.next_id <- (t.next_id + 1) land 0xffffffff;
-  write_all t.fd (Proto.frame_of_request { Proto.id; op; sess });
+  Sock.write_all t.fd (Proto.frame_of_request { Proto.id; op; sess });
   t.in_flight <- t.in_flight + 1;
   id
 
@@ -91,26 +58,24 @@ let pending t = t.in_flight + Hashtbl.length t.stash
 (* Wait until [t.fd] is readable or [deadline] (absolute, wall clock)
    passes; raises [Timeout] on expiry. The decoder keeps any partial
    frame, so the connection stays usable after a timeout. *)
-let wait_readable t deadline =
-  let rec wait () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then raise Timeout;
-    match restart_eintr (fun () -> Unix.select [ t.fd ] [] [] remaining) with
-    | [], _, _ -> wait ()
-    | _ -> ()
-  in
-  wait ()
+let rec wait_readable t deadline =
+  let remaining = deadline -. Unix.gettimeofday () in
+  if remaining <= 0.0 then raise Timeout;
+  if not (Sock.readable t.fd remaining) then wait_readable t deadline
+
+(* One socket read into the decoder; the server closing the connection
+   is [End_of_file]. *)
+let fill t =
+  let n = Sock.read t.fd t.rbuf in
+  if n = 0 then raise End_of_file;
+  Proto.Decoder.feed t.dec t.rbuf 0 n
 
 let rec read_reply ?deadline t =
   match Proto.Decoder.next t.dec with
   | Some payload -> Proto.reply_of_payload payload
   | None ->
       (match deadline with None -> () | Some dl -> wait_readable t dl);
-      let n =
-        restart_eintr (fun () -> Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf))
-      in
-      if n = 0 then raise End_of_file;
-      Proto.Decoder.feed t.dec t.rbuf 0 n;
+      fill t;
       read_reply ?deadline t
 
 (* Drain the stash first so call/recv interleavings never lose one. *)
@@ -136,23 +101,19 @@ let recv ?deadline t =
 let recv_opt t =
   match pop_stash t with
   | Some r -> Some r
-  | None -> (
-      match Proto.Decoder.next t.dec with
-      | Some payload ->
-          t.in_flight <- t.in_flight - 1;
-          Some (Proto.reply_of_payload payload)
-      | None -> (
-          match restart_eintr (fun () -> Unix.select [ t.fd ] [] [] 0.0) with
-          | [], _, _ -> None
-          | _ -> (
-              let n = Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) in
-              if n = 0 then raise End_of_file;
-              Proto.Decoder.feed t.dec t.rbuf 0 n;
-              match Proto.Decoder.next t.dec with
-              | Some payload ->
-                  t.in_flight <- t.in_flight - 1;
-                  Some (Proto.reply_of_payload payload)
-              | None -> None)))
+  | None ->
+      let next () =
+        Option.map
+          (fun payload ->
+            t.in_flight <- t.in_flight - 1;
+            Proto.reply_of_payload payload)
+          (Proto.Decoder.next t.dec)
+      in
+      (match next () with
+      | None when Sock.readable t.fd 0.0 ->
+          fill t;
+          next ()
+      | r -> r)
 
 let call ?deadline ?sess t op =
   let id = send ?sess t op in

@@ -16,7 +16,9 @@ exception Timeout
     whether the op applied must reconnect and rely on the server's
     session dedup (see {!Session}). *)
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Sock.addr = Unix_sock of string | Tcp of string * int
+(** Re-exported from {!Sock}, so [Client.Unix_sock] and [Sock.Unix_sock]
+    are the same constructor. *)
 
 val addr_of_string : string -> addr
 (** Parse ["unix:/path/to.sock"] or ["tcp:host:port"]. Raises

@@ -1,8 +1,8 @@
 (* The fault-tolerance layer (DESIGN.md §17): the session dedup record
    codec, net.* chaos plan points, NVM mirror round trips, client
    deadlines, stamped-replay dedup in the engine, session-table rebuild
-   during recovery, and the retrying session driving ops through a
-   fault-injecting proxy. *)
+   during recovery, the retrying session driving ops through a
+   fault-injecting proxy, and the proxy under connection churn. *)
 
 module Sys_ = Incll.System
 module P = Wire.Proto
@@ -273,6 +273,95 @@ let session_rides_through_faults () =
             (C.get c "t0" = Some "a" && C.get c "t1" = Some "b"));
       check "dropped replies were dedup hits" true (dedup_hits srv >= 1))
 
+(* --- the proxy under connection churn ------------------------------------ *)
+
+let timed what f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  let took = Unix.gettimeofday () -. t0 in
+  check (Printf.sprintf "%s returned in %.2f s (< 5 s)" what took) true
+    (took < 5.0)
+
+(* Poll [NP.live_conns] down to [n]: the proxy notices a client's close
+   asynchronously, on the connection's pump. *)
+let await_live proxy n =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while NP.live_conns proxy > n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  check_int "proxy connections retired" n (NP.live_conns proxy)
+
+let with_proxy f =
+  let addr = C.Unix_sock (Filename.temp_file "incll_churn" ".sock") in
+  let srv =
+    E.start ~config:server_config ~variant:Sys_.Incll ~shards:2 addr
+  in
+  let proxy =
+    NP.start
+      ~listen:(C.Unix_sock (Filename.temp_file "incll_np" ".sock"))
+      ~upstream:(E.addr srv) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      NP.stop proxy;
+      E.stop srv)
+    (fun () ->
+      f srv proxy;
+      timed "Netproxy.stop" (fun () -> NP.stop proxy);
+      timed "Engine.stop" (fun () -> E.stop srv))
+
+let call_ok what c op =
+  match C.call ~deadline:(Unix.gettimeofday () +. 2.0) c op with
+  | { P.status = P.Ok; _ } -> ()
+  | r -> Alcotest.failf "%s: %s" what (P.status_name r.P.status)
+  | exception C.Timeout -> Alcotest.failf "%s: no reply" what
+
+(* Regression: a relayed connection used to cost three domains (one
+   pump, an engine reader and writer), so a proxy and an engine in one
+   process ran out at about 40 held-open connections. Sequential churn
+   retires every connection as its client leaves, and afterwards 100
+   connections held open at once are all served. *)
+let proxy_churn_and_hold () =
+  with_proxy (fun srv proxy ->
+      for i = 0 to 199 do
+        let c = C.connect (NP.addr proxy) in
+        Fun.protect
+          ~finally:(fun () -> C.close c)
+          (fun () ->
+            call_ok
+              (Printf.sprintf "cycle %d put" i)
+              c
+              (P.Put (Printf.sprintf "churn%03d" i, "v")))
+      done;
+      await_live proxy 0;
+      let conns =
+        List.init 100 (fun i ->
+            let c = C.connect (NP.addr proxy) in
+            call_ok
+              (Printf.sprintf "held connection %d put" i)
+              c
+              (P.Put (Printf.sprintf "held%03d" i, string_of_int i));
+            c)
+      in
+      check_int "all relayed at once" 100 (NP.live_conns proxy);
+      List.iteri
+        (fun i c ->
+          if C.get c (Printf.sprintf "held%03d" i) <> Some (string_of_int i)
+          then Alcotest.failf "held connection %d: wrong get" i;
+          C.close c)
+        conns;
+      await_live proxy 0;
+      let c = C.connect (E.addr srv) in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          let keys = List.map fst (C.scan c ~start:"" ~n:1000) in
+          let landed prefix =
+            List.length (List.filter (String.starts_with ~prefix) keys)
+          in
+          check_int "every churn put landed" 200 (landed "churn");
+          check_int "every held put landed" 100 (landed "held")))
+
 let tests =
   ( "session",
     [
@@ -287,4 +376,6 @@ let tests =
         stamped_replay_deduped;
       Alcotest.test_case "session rides through frame faults" `Quick
         session_rides_through_faults;
+      Alcotest.test_case "proxy churn, then 100 held-open connections" `Quick
+        proxy_churn_and_hold;
     ] )

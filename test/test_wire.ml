@@ -1,8 +1,9 @@
 (* The serving layer: wire codec round trips and hostile-input rejection,
    the bounded queue's backpressure contract, and the running server —
    pipelined out-of-order replies, BUSY under a wedged shard, graceful
-   drain, STATS plumbing, and the differential oracle proving a seeded
-   YCSB stream lands the same state over the wire as in process. *)
+   drain, STATS plumbing, a connection storm past the runtime's domain
+   cap, and the differential oracle proving a seeded YCSB stream lands
+   the same state over the wire as in process. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -488,6 +489,47 @@ let stats_over_the_wire () =
              in
              find 0)))
 
+(* Regression: connections are threads of one I/O domain, not domains
+   of their own. Far more clients than the runtime's 128-domain cap are
+   held open at once; every one is served, and the drain still finishes
+   promptly with all of them still connected. *)
+let connection_storm () =
+  let n = 150 in
+  let addr = C.Unix_sock (Filename.temp_file "incll_storm" ".sock") in
+  let srv =
+    E.start
+      ~config:(server_config ~nkeys:(2 * n) ~shards:2)
+      ~variant:Incll.System.Incll ~shards:2 addr
+  in
+  let conns = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      E.stop srv;
+      List.iter C.close !conns)
+    (fun () ->
+      for i = 0 to n - 1 do
+        let c = C.connect (E.addr srv) in
+        conns := c :: !conns;
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        let k = Printf.sprintf "storm%03d" i in
+        let what = Printf.sprintf "connection %d" i in
+        (match C.call ~deadline c (P.Put (k, string_of_int i)) with
+        | { P.status = P.Ok; _ } -> ()
+        | r -> Alcotest.failf "%s put: %s" what (P.status_name r.P.status)
+        | exception C.Timeout -> Alcotest.failf "%s put: no reply" what);
+        match C.call ~deadline c (P.Get k) with
+        | { P.status = P.Ok; payload = P.Value v; _ } ->
+            check_str (what ^ " get") (string_of_int i) v
+        | r -> Alcotest.failf "%s get: %s" what (P.status_name r.P.status)
+        | exception C.Timeout -> Alcotest.failf "%s get: no reply" what
+      done;
+      let t0 = Unix.gettimeofday () in
+      E.stop srv;
+      let took = Unix.gettimeofday () -. t0 in
+      check (Printf.sprintf "stop returned in %.2f s (< 5 s)" took) true
+        (took < 5.0));
+  check_int "every put applied" n (S.cardinal (E.store srv))
+
 (* --- differential oracle ------------------------------------------------- *)
 
 (* The same seeded stream (with deletes mixed in) through the wire and
@@ -605,6 +647,8 @@ let tests =
       Alcotest.test_case "drain survives signal delivery" `Quick
         drain_survives_signals;
       Alcotest.test_case "STATS carries net_queue" `Quick stats_over_the_wire;
+      Alcotest.test_case "150 held-open connections all served" `Quick
+        connection_storm;
       Alcotest.test_case "differential oracle: wire = in-process" `Slow
         differential_oracle;
     ] )
